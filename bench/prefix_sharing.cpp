@@ -136,8 +136,8 @@ measureSharedCapacity(EngineKind kind, std::size_t sessions,
     EngineConfig engine;
     engine.kind = kind;
 
-    // Unshared: the legacy private-shard path; every session charges
-    // its full footprint.
+    // Unshared: store-less private shards; every session charges its
+    // full footprint.
     SessionCacheConfig unsharedConfig;
     unsharedConfig.engine = engine;
     unsharedConfig.shardRows = shardRows;

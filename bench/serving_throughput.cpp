@@ -291,7 +291,7 @@ measureCapacity(const EngineConfig &config, const char *kvFormat,
     const Matrix key = randomMatrix(rng, n, d);
     const Matrix value = randomMatrix(rng, n, d);
 
-    SessionCache cache(byteBudget);
+    SessionCache cache({.byteBudget = byteBudget});
     CapacityRow row;
     row.kvFormat = kvFormat;
     row.intBits = config.intBits;

@@ -63,8 +63,8 @@ main()
             groups.push_back({backends.back().get(),
                               {task.queries[0]}});
         }
-        const auto results =
-            AttentionEngine::shared().runGroups(groups);
+        std::vector<std::vector<AttentionResult>> results;
+        AttentionEngine::shared().runGroupsInto(groups, results);
 
         double correct = 0.0;
         double rowsTotal = 0.0;

@@ -55,7 +55,7 @@ main()
     // most 8 requests are answered per drain, at most 64 may queue
     // overall and 8 per session — past that, submit() sheds.
     AttentionEngine engine;
-    SessionCache cache(4u << 20);
+    SessionCache cache({.byteBudget = 4u << 20});
     AdmissionPolicy policy;
     policy.maxQueueDepth = 64;
     policy.maxPendingPerSession = 8;

@@ -196,23 +196,6 @@ AttentionEngine::runInto(const AttentionBackend &backend,
     runFlattened(pool_, views, GroupCompletionHook());
 }
 
-std::vector<std::vector<AttentionResult>>
-AttentionEngine::runGroups(
-    const std::vector<AttentionRequestGroup> &groups) const
-{
-    std::vector<std::vector<AttentionResult>> results;
-    runGroupsInto(groups, results);
-    return results;
-}
-
-void
-AttentionEngine::runGroupsInto(
-    const std::vector<AttentionRequestGroup> &groups,
-    std::vector<std::vector<AttentionResult>> &results) const
-{
-    runGroupsInto(groups, results, GroupCompletionHook());
-}
-
 void
 AttentionEngine::runGroupsInto(
     const std::vector<AttentionRequestGroup> &groups,

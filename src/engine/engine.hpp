@@ -90,8 +90,11 @@ class AttentionEngine
                  std::vector<AttentionResult> &results) const;
 
     /**
-     * Answer several request groups (multi-head or multi-sequence):
-     * every (group, query) pair is decomposed into its backend's
+     * Answer several request groups (multi-head or multi-sequence)
+     * into `results`, resizing it to groups.size() and reusing every
+     * slot's buffers — the steady-state path of the serving
+     * BatchScheduler, which keeps one results vector across drains.
+     * Every (group, query) pair is decomposed into its backend's
      * work units (AttentionBackend::workUnitCount() — one per shard
      * for a sharded backend, one total for a plain one) and all the
      * units are flattened into one work list, so small groups cannot
@@ -102,34 +105,19 @@ class AttentionEngine
      * and small groups complete early (the batch-formation order the
      * serving tier's fairness rides on). Single-unit queries execute
      * the sequential runInto() path and multi-unit queries merge
-     * their partials serially in fixed unit order, so result[g][i]
+     * their partials serially in fixed unit order, so results[g][i]
      * is bit-identical to groups[g].backend->
      * run(groups[g].queries[i]) regardless of the interleave.
-     */
-    std::vector<std::vector<AttentionResult>>
-    runGroups(const std::vector<AttentionRequestGroup> &groups) const;
-
-    /**
-     * Buffer-reusing variant of runGroups(): answers into `results`,
-     * resizing it to groups.size() and reusing every slot's buffers —
-     * the steady-state path of the serving BatchScheduler, which keeps
-     * one results vector across drains.
-     */
-    void runGroupsInto(
-        const std::vector<AttentionRequestGroup> &groups,
-        std::vector<std::vector<AttentionResult>> &results) const;
-
-    /**
-     * runGroupsInto() with per-group service-time telemetry:
-     * `onGroupDone` fires as each group's last query completes (see
-     * GroupCompletionHook for the threading contract). The serving
-     * BatchScheduler feeds its latency reservoirs through this hook;
-     * the results are unchanged by its presence.
+     *
+     * An optional `onGroupDone` fires as each group's last query
+     * completes (see GroupCompletionHook for the threading
+     * contract); the BatchScheduler feeds its latency reservoirs
+     * through it. The results are unchanged by its presence.
      */
     void runGroupsInto(
         const std::vector<AttentionRequestGroup> &groups,
         std::vector<std::vector<AttentionResult>> &results,
-        const GroupCompletionHook &onGroupDone) const;
+        const GroupCompletionHook &onGroupDone = {}) const;
 
     /**
      * Batched self-attention: preprocess (key, value) once, then

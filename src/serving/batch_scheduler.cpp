@@ -47,30 +47,12 @@ BatchScheduler::BatchScheduler(AttentionEngine &engine,
 }
 
 AdmissionOutcome
-BatchScheduler::submit(const std::string &session, Vector query)
-{
-    return submit(session, std::move(query), SubmitOptions{});
-}
-
-AdmissionOutcome
-BatchScheduler::submit(const SessionHandle &session, Vector query)
-{
-    return submit(session, std::move(query), SubmitOptions{});
-}
-
-AdmissionOutcome
-BatchScheduler::submit(const SessionHandle &session, Vector query,
+BatchScheduler::submit(const SessionHandle &handle, Vector query,
                        const SubmitOptions &options)
 {
-    a3Assert(session.valid(),
+    a3Assert(handle.valid(),
              "cannot submit against an invalid session handle");
-    return submit(session.id(), std::move(query), options);
-}
-
-AdmissionOutcome
-BatchScheduler::submit(const std::string &session, Vector query,
-                       const SubmitOptions &options)
-{
+    const std::string &session = handle.id();
     // Estimated cost before taking the scheduler lock: peekBytes
     // holds only the cache's own lock, touches neither LRU order nor
     // hit/miss counters, and reads 0 for an unbound session.

@@ -3,11 +3,11 @@
  * Admission-controlled, weighted-fair request coalescing for the
  * streaming serving layer.
  *
- * Clients submit (session, query) requests from any thread; each
- * admitted request gets a monotonically increasing ticket, and each
- * shed request gets a typed AdmissionOutcome naming the limit that
- * rejected it (queue depth, per-session cap, estimated-cost budget,
- * adaptive depth, or an unmeetable deadline — see
+ * Clients submit (session handle, query) requests from any thread;
+ * each admitted request gets a monotonically increasing ticket, and
+ * each shed request gets a typed AdmissionOutcome naming the limit
+ * that rejected it (queue depth, per-session cap, estimated-cost
+ * budget, adaptive depth, or an unmeetable deadline — see
  * serving/admission.hpp). Requests may carry a per-request deadline
  * and a request class (SubmitOptions): a claimed request whose queue
  * wait already blew its deadline is shed at drain time with a typed
@@ -86,8 +86,7 @@ const char *servingErrorName(ServingError error);
 
 /**
  * Per-request submit() knobs beyond the session and query. The
- * defaults reproduce the plain submit(session, query) behavior: no
- * deadline, default request class.
+ * defaults mean no deadline and the default request class.
  */
 struct SubmitOptions
 {
@@ -239,35 +238,24 @@ class BatchScheduler
                    AdmissionPolicy policy = AdmissionPolicy());
 
     /**
-     * Enqueue one request against a session, or shed it per the
-     * admission policy. Thread-safe; tickets of admitted requests
-     * increase in admission order. The session must be bound in the
-     * cache by the time drain() runs (and already bound at submit()
-     * for the cost budget to see its bytes — an unbound session's
-     * estimated cost is 0).
+     * Enqueue one request against the session behind `handle` (from
+     * SessionCache::bindSession() or lookupSession()), or shed it
+     * per the admission policy. Thread-safe; tickets of admitted
+     * requests increase in admission order. `options` adds a
+     * deadline (shed-on-expiry plus the up-front unmeetable check)
+     * and/or a request class (its own FIFO lane, weighted by
+     * setClassWeight).
+     *
+     * An invalid (default-constructed) handle is a contract
+     * violation and aborts. The request is queued under the handle's
+     * session id, and drain() resolves that id in the cache: a query
+     * through a stale handle is answered by the session's current
+     * binding, or completes with ServingError::SessionUnbound when
+     * the session is not bound at drain time. The cost budget reads
+     * the session's charged bytes at submit (0 when unbound).
      */
-    AdmissionOutcome submit(const std::string &session, Vector query);
-
-    /**
-     * submit() with per-request options: a deadline (shed-on-expiry
-     * plus the up-front unmeetable check) and/or a request class
-     * (its own FIFO lane, weighted by setClassWeight). The
-     * default-constructed options reproduce the plain overload.
-     */
-    AdmissionOutcome submit(const std::string &session, Vector query,
-                            const SubmitOptions &options);
-
-    /**
-     * Typed submits against a SessionHandle from
-     * SessionCache::bindSession()/lookupSession() — the preferred
-     * surface: a handle names a *binding*, not just an id, so the
-     * request provably targets a session the caller has seen bound.
-     * An invalid (default-constructed) handle is rejected like an
-     * unbound session would be at drain time.
-     */
-    AdmissionOutcome submit(const SessionHandle &session, Vector query);
-    AdmissionOutcome submit(const SessionHandle &session, Vector query,
-                            const SubmitOptions &options);
+    AdmissionOutcome submit(const SessionHandle &handle, Vector query,
+                            const SubmitOptions &options = {});
 
     /**
      * Weighted-round-robin share of `session`: up to `weight`

@@ -9,17 +9,13 @@
 namespace a3 {
 
 std::vector<std::size_t>
-balancedShardSizes(std::size_t n, std::size_t shardRows)
+prefixShardSizes(std::size_t n, std::size_t shardRows)
 {
     a3Assert(n > 0, "cannot partition an empty task");
     a3Assert(shardRows > 0, "shardRows must be positive");
-    const std::size_t shardCount =
-        (n + shardRows - 1) / shardRows;
-    const std::size_t base = n / shardCount;
-    const std::size_t extra = n % shardCount;
-    std::vector<std::size_t> sizes(shardCount, base);
-    for (std::size_t s = 0; s < extra; ++s)
-        ++sizes[s];
+    std::vector<std::size_t> sizes(n / shardRows, shardRows);
+    if (n % shardRows != 0)
+        sizes.push_back(n % shardRows);
     return sizes;
 }
 

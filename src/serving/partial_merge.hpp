@@ -12,7 +12,7 @@
  * supplied the partial (the merge only sees *which* partials, never
  * *where* they were computed).
  *
- * balancedShardSizes() is the matching layout half: both backends
+ * prefixShardSizes() is the matching layout half: both backends
  * must slice rows identically or the per-shard partials would
  * differ before the merge even runs.
  */
@@ -29,13 +29,15 @@ namespace a3 {
 
 /**
  * Row counts of the ceil(n / shardRows) row-contiguous shards a
- * fresh bind partitions `n` rows into: sizes differ by at most one
- * (the first n % S shards are one row larger) and never exceed
- * shardRows. This is the layout contract ShardedBackend and
- * RemoteShardCoordinator share.
+ * fresh bind partitions `n` rows into: floor(n / shardRows) full
+ * shards of shardRows rows, then the n % shardRows remainder as a
+ * tail when it is non-zero. Boundaries fall at multiples of
+ * shardRows, so a shard's rows depend only on its absolute position,
+ * never on n. This is the one layout ShardedBackend (in both store
+ * modes) and RemoteShardCoordinator share.
  */
-std::vector<std::size_t> balancedShardSizes(std::size_t n,
-                                            std::size_t shardRows);
+std::vector<std::size_t> prefixShardSizes(std::size_t n,
+                                          std::size_t shardRows);
 
 /**
  * Log-sum-exp combine of per-shard partials, serially in shard

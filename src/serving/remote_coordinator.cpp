@@ -114,7 +114,7 @@ RemoteShardCoordinator::RemoteShardCoordinator(
         connectWorker(w);
 
     const std::vector<std::size_t> sizes =
-        balancedShardSizes(key_.rows(), config_.shardRows);
+        prefixShardSizes(key_.rows(), config_.shardRows);
     std::size_t offset = 0;
     shards_.reserve(sizes.size());
     for (std::size_t s = 0; s < sizes.size(); ++s) {

@@ -3,13 +3,15 @@
  * Fault-tolerant coordinator of the distributed serving tier.
  *
  * RemoteShardCoordinator implements AttentionBackend by slicing the
- * bound task into the same balanced row shards ShardedBackend would
- * build (partial_merge.hpp), shipping each shard to worker
- * processes as BindShard frames, fanning every query out over the
- * workers, and merging the returned softmax partials through the
- * shared mergeShardPartials() — which is what makes its results
- * bit-identical to the in-process ShardedBackend, and hence to an
- * unsharded backend, for every engine kind.
+ * bound task into the same prefix-aligned row shards ShardedBackend
+ * builds in either store mode (prefixShardSizes, partial_merge.hpp):
+ * floor(n / shardRows) full shards plus a remainder tail. It ships
+ * each shard to worker processes as BindShard frames, fans every
+ * query out over the workers, and merges the returned softmax
+ * partials through the shared mergeShardPartials() — which is what
+ * makes its results bit-identical to the in-process ShardedBackend,
+ * store-less or store-backed, and hence to an unsharded backend,
+ * for every engine kind.
  *
  * Robustness model, in escalation order per shard query:
  *   1. deadline   — every remote wait is bounded;

@@ -35,11 +35,6 @@ appendStatusName(AppendStatus status)
     return "unknown";
 }
 
-SessionCache::SessionCache(std::size_t byteBudget)
-{
-    config_.byteBudget = byteBudget;
-}
-
 SessionCache::SessionCache(SessionCacheConfig config)
     : config_(std::move(config))
 {
@@ -135,30 +130,6 @@ SessionCache::lookupSession(const std::string &session)
     return SessionHandle(session, backend);
 }
 
-std::shared_ptr<AttentionBackend>
-SessionCache::bind(const std::string &session,
-                   const EngineConfig &config, Matrix key,
-                   Matrix value)
-{
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = entries_.find(session);
-        if (it != entries_.end()) {
-            ++stats_.hits;
-            touchLocked(it->second);
-            return it->second.backend;
-        }
-        ++stats_.misses;
-    }
-    // Preprocess outside the lock: binding is the expensive step and
-    // other sessions should keep hitting while it runs. A concurrent
-    // bind of the same id is resolved by insertLocked (last wins).
-    std::shared_ptr<AttentionBackend> backend =
-        makeBackend(config, std::move(key), std::move(value));
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return insertLocked(session, std::move(backend));
-}
-
 BindOutcome
 SessionCache::bindSession(const std::string &session,
                           const EngineConfig &config, Matrix key,
@@ -184,7 +155,9 @@ SessionCache::bindSession(const std::string &session,
         ++stats_.misses;
     }
 
-    // Preprocess outside the lock (see bind()).
+    // Preprocess outside the lock: binding is the expensive step and
+    // other sessions should keep hitting while it runs. A concurrent
+    // bind of the same id is resolved by insertLocked (last wins).
     std::shared_ptr<AttentionBackend> backend;
     const ShardedBackend *sharded = nullptr;
     if (config_.shardRows > 0) {
@@ -259,24 +232,6 @@ SessionCache::insertLocked(const std::string &session,
     chargeLocked(inserted->second);
     enforceBudgetLocked(session);
     return inserted->second.backend;
-}
-
-bool
-SessionCache::append(const std::string &session, const Matrix &keyRows,
-                     const Matrix &valueRows)
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(session);
-    if (it == entries_.end())
-        return false;
-    Entry &entry = it->second;
-    releaseLocked(entry);
-    entry.backend->append(keyRows, valueRows);
-    chargeLocked(entry);
-    ++stats_.appends;
-    touchLocked(entry);
-    enforceBudgetLocked(session);
-    return true;
 }
 
 AppendOutcome

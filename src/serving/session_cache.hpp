@@ -12,13 +12,12 @@
  * configured byte budget overflows, and hit/miss/eviction counters
  * make the reuse measurable.
  *
- * The typed session API (PR 9): bindSession() / appendSession() /
+ * The session API is typed: bindSession() / appendSession() /
  * lookupSession() operate on SessionHandle and return BindOutcome /
  * AppendOutcome result types (mirroring the scheduler's
- * AdmissionOutcome), replacing the bare-pointer + bool surface that
- * made callers invent their own error conventions. The raw find() /
- * bind() / insert() / append() entry points remain for existing
- * callers but are deprecated — new code should use the typed surface.
+ * AdmissionOutcome). insert() installs a pre-built backend (a remote
+ * coordinator, say) under an id; lookupSession() then hands out its
+ * handle like any other binding's.
  *
  * Cross-session sharing: when constructed with a SessionCacheConfig
  * that carries shardRows and a ShardStore, sessions bind through
@@ -31,10 +30,10 @@
  * survives, so eviction never invalidates other sessions' results.
  *
  * Thread safety: every member function takes an internal lock, so
- * concurrent find()/bind()/erase() calls are safe. The backends handed
- * out are only thread-compatible for const queries; append() must not
- * race with queries against the same session (see
- * AttentionBackend::append).
+ * concurrent bindSession()/lookupSession()/erase() calls are safe.
+ * The backends handed out are only thread-compatible for const
+ * queries; appendSession() must not race with queries against the
+ * same session (see AttentionBackend::append).
  */
 
 #ifndef A3_SERVING_SESSION_CACHE_HPP
@@ -68,7 +67,8 @@ struct SessionCacheStats
     /** Sessions dropped to fit the byte budget. */
     std::uint64_t evictions = 0;
 
-    /** Incremental context extensions applied through append(). */
+    /** Incremental context extensions applied through
+     *  appendSession(). */
     std::uint64_t appends = 0;
 };
 
@@ -89,7 +89,7 @@ struct SessionCacheConfig
 
     /**
      * Shard capacity for bindSession() backends; 0 binds unsharded
-     * backends (the pre-PR-9 behavior).
+     * backends.
      */
     std::size_t shardRows = 0;
 
@@ -104,9 +104,14 @@ struct SessionCacheConfig
 /**
  * Typed reference to one bound session: the id plus a weak reference
  * to the backend bound when the handle was issued. A handle goes
- * stale when its session is evicted or re-bound; stale handles fail
- * queries/appends explicitly (backend() == nullptr, AppendOutcome
- * SessionUnbound) instead of silently touching a different binding.
+ * stale when its session is evicted or re-bound. A stale handle
+ * reports it (backend() == nullptr once the old binding is gone) and
+ * appendSession() rejects it with AppendStatus::SessionUnbound, so an
+ * append never lands on a binding the caller has not seen. Queries
+ * are different: BatchScheduler::drain() resolves the session by id,
+ * so a query through a stale handle is answered by the session's
+ * current binding, or completes with ServingError::SessionUnbound
+ * when no binding exists.
  */
 class SessionHandle
 {
@@ -213,16 +218,9 @@ struct AppendOutcome
 class SessionCache
 {
   public:
-    /**
-     * Byte-budget-only constructor (legacy surface): unsharded
-     * bindSession() backends, no sharing.
-     */
-    explicit SessionCache(std::size_t byteBudget = 0);
-
-    /** Full configuration, including sharing via config.store. */
-    explicit SessionCache(SessionCacheConfig config);
-
-    // -- Typed session API ------------------------------------------
+    /** The default config binds unsharded sessions under no byte
+     *  budget; config.store enables cross-session sharing. */
+    explicit SessionCache(SessionCacheConfig config = {});
 
     /**
      * Bind `session` to (key, value) under `config`, or report the
@@ -253,30 +251,10 @@ class SessionCache
 
     /**
      * Handle to `session`'s current binding; invalid handle on a
-     * miss. Counts hits/misses and refreshes the LRU like find().
+     * miss. A hit refreshes the session's LRU position and counts in
+     * stats().hits; a miss counts in stats().misses.
      */
     SessionHandle lookupSession(const std::string &session);
-
-    // -- Raw surface (deprecated: prefer the typed API above) -------
-
-    /**
-     * Backend bound to `session`, or nullptr. A hit refreshes the
-     * session's LRU position and counts in stats().hits; a miss
-     * counts in stats().misses.
-     * @deprecated Use lookupSession(); kept for existing callers.
-     */
-    std::shared_ptr<AttentionBackend> find(const std::string &session);
-
-    /**
-     * Return the backend bound to `session`, constructing one from
-     * (config, key, value) through makeBackend() on a miss — always
-     * unsharded, ignoring the cache-level shardRows/store. On a hit
-     * the matrices are ignored and no preprocessing runs.
-     * @deprecated Use bindSession(); kept for existing callers.
-     */
-    std::shared_ptr<AttentionBackend> bind(const std::string &session,
-                                           const EngineConfig &config,
-                                           Matrix key, Matrix value);
 
     /**
      * Insert a pre-built backend, replacing whatever `session` held.
@@ -287,23 +265,12 @@ class SessionCache
            std::shared_ptr<AttentionBackend> backend);
 
     /**
-     * Extend a bound session's context through the backend's
-     * incremental append() and re-charge its bytes against the
-     * budget. Returns false when the session is not bound.
-     * @deprecated Use appendSession(); a bare bool cannot distinguish
-     * eviction from a wrong id, and re-binding raced appends was the
-     * bug class the typed surface removes.
-     */
-    bool append(const std::string &session, const Matrix &keyRows,
-                const Matrix &valueRows);
-
-    /**
      * Bytes `session` charges the cache (shared shards another bound
      * session already charged are excluded), or 0 when unbound — the
-     * admission-control cost estimate. Unlike find(), this touches
-     * neither the LRU order nor the hit/miss counters: probing a
-     * session's cost to decide admission must not make it look
-     * recently used or skew the cache's reuse statistics.
+     * admission-control cost estimate. Unlike lookupSession(), this
+     * touches neither the LRU order nor the hit/miss counters:
+     * probing a session's cost to decide admission must not make it
+     * look recently used or skew the cache's reuse statistics.
      */
     std::size_t peekBytes(const std::string &session) const;
 
@@ -337,6 +304,20 @@ class SessionCache
     void resetCounters();
 
   private:
+    /**
+     * BatchScheduler::drain() resolves each claimed session through
+     * find(), which pins the backend under the cache lock. A
+     * lookupSession() + handle.backend() pair would leave a window
+     * in which an eviction turns a served query into SessionUnbound.
+     */
+    friend class BatchScheduler;
+
+    /**
+     * Backend bound to `session`, or nullptr; counts and refreshes
+     * like lookupSession().
+     */
+    std::shared_ptr<AttentionBackend> find(const std::string &session);
+
     struct Entry
     {
         std::shared_ptr<AttentionBackend> backend;

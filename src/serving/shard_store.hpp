@@ -74,8 +74,8 @@ class ShardHandle
 
     /**
      * Bind a private, untracked handle (no hashing, never frozen or
-     * shared) — the store-less ShardedBackend path, which keeps the
-     * legacy behavior at zero overhead.
+     * shared) — the store-less ShardedBackend path, which pays
+     * nothing for sharing it does not use.
      */
     static std::shared_ptr<ShardHandle>
     bindPrivate(const EngineConfig &config, const Matrix &key,

@@ -21,54 +21,37 @@ ShardedBackend::ShardedBackend(const EngineConfig &inner, Matrix key,
              "attention task must be non-empty");
     dims_ = key.cols();
 
-    if (config_.store == nullptr) {
-        // Legacy store-less layout: row-contiguous, size-balanced
-        // partition (the layout contract shared with
-        // RemoteShardCoordinator via balancedShardSizes). Balanced
-        // sizes never exceed shardRows, so append() capacity math
-        // stays valid. Private handles: no hashing, no sharing.
-        const std::vector<std::size_t> sizes =
-            balancedShardSizes(key.rows(), config_.shardRows);
-        std::size_t offset = 0;
-        shards_.reserve(sizes.size());
-        offsets_.reserve(sizes.size());
-        for (const std::size_t take : sizes) {
+    // One prefix-aligned partition for both store modes (and for
+    // RemoteShardCoordinator): shard boundaries are multiples of
+    // shardRows, so two sessions extending the same document prefix
+    // slice it into byte-identical full shards — the precondition
+    // for content-addressed sharing. Store-backed, full shards
+    // resolve through the store and the remainder becomes the
+    // private mutable tail; store-less, every shard is a private
+    // handle (no hashing, never frozen).
+    const std::vector<std::size_t> sizes =
+        prefixShardSizes(key.rows(), config_.shardRows);
+    shards_.reserve(sizes.size());
+    offsets_.reserve(sizes.size());
+    std::size_t offset = 0;
+    for (const std::size_t take : sizes) {
+        if (config_.store == nullptr) {
             shards_.push_back(ShardHandle::bindPrivate(
                 inner_, key, value, offset, take));
-            offsets_.push_back(offset);
-            offset += take;
+        } else if (take == config_.shardRows) {
+            ShardSource source = ShardSource::ColdBound;
+            shards_.push_back(config_.store->acquire(
+                inner_, key, value, offset, take, &source));
+            if (source == ShardSource::LiveShared)
+                ++bindShared_;
+            else if (source == ShardSource::SpillRestored)
+                ++bindRestored_;
+        } else {
+            shards_.push_back(ShardHandle::bindTail(
+                inner_, key, value, offset, take));
         }
-        return;
-    }
-
-    // Store-backed: prefix-aligned partition. Shard boundaries are a
-    // function of absolute row position alone (multiples of
-    // shardRows), so two sessions extending the same document prefix
-    // slice it into byte-identical full shards — the precondition for
-    // content-addressed sharing. Full shards resolve through the
-    // store; the remainder (possibly empty) becomes the private
-    // mutable tail.
-    const std::size_t n = key.rows();
-    const std::size_t fullShards = n / config_.shardRows;
-    const std::size_t remainder = n % config_.shardRows;
-    shards_.reserve(fullShards + (remainder > 0 ? 1 : 0));
-    offsets_.reserve(shards_.capacity());
-    std::size_t offset = 0;
-    for (std::size_t s = 0; s < fullShards; ++s) {
-        ShardSource source = ShardSource::ColdBound;
-        shards_.push_back(config_.store->acquire(
-            inner_, key, value, offset, config_.shardRows, &source));
-        if (source == ShardSource::LiveShared)
-            ++bindShared_;
-        else if (source == ShardSource::SpillRestored)
-            ++bindRestored_;
         offsets_.push_back(offset);
-        offset += config_.shardRows;
-    }
-    if (remainder > 0 || fullShards == 0) {
-        shards_.push_back(ShardHandle::bindTail(inner_, key, value,
-                                                offset, remainder));
-        offsets_.push_back(offset);
+        offset += take;
     }
 }
 

@@ -11,21 +11,21 @@
  * softmax partials with the numerically stable log-sum-exp combine
  * (see PartialResult for the decomposition).
  *
- * Since PR 9 the composite no longer owns its shards: each shard is a
- * refcounted ShardHandle (shard_store.hpp). Two modes:
+ * The composite does not own its shards: each shard is a refcounted
+ * ShardHandle (shard_store.hpp). Every bind uses one *prefix-aligned*
+ * partition — floor(n / shardRows) full shards plus a remainder tail
+ * (prefixShardSizes, shared with RemoteShardCoordinator) — so a
+ * shard's identity depends only on its absolute row slice and the
+ * binding config, never on the total session length. Two modes:
  *
- *  - Store-less (ShardedConfig::store == nullptr): the legacy layout
- *    — size-balanced partition, private untracked handles, behavior
- *    bit-identical to the owning implementation.
- *  - Store-backed: the partition is *prefix-aligned* — floor(n /
- *    shardRows) full shards plus a remainder tail — so a shard's
- *    identity depends only on its absolute row slice and the binding
- *    config, never on the total session length. Full shards are
- *    acquired through the ShardStore (deduped against live sessions,
- *    restored from spill, or cold-bound); only the mutable tail is
- *    private to this session. When append() fills the tail it is
- *    frozen (compacted + content-addressed), adopted into the store,
- *    and a new tail opens — copy-on-append touches exactly one shard.
+ *  - Store-less (ShardedConfig::store == nullptr): every shard is a
+ *    private, untracked handle — no hashing, never frozen or shared.
+ *  - Store-backed: full shards are acquired through the ShardStore
+ *    (deduped against live sessions, restored from spill, or
+ *    cold-bound); only the mutable tail is private to this session.
+ *    When append() fills the tail it is frozen (compacted +
+ *    content-addressed), adopted into the store, and a new tail
+ *    opens — copy-on-append touches exactly one shard.
  *
  * Parallelism comes from above, not from a borrowed pool: the
  * backend exposes its shards through the AttentionBackend work-unit
@@ -89,10 +89,9 @@ struct ShardedConfig
     std::size_t shardRows = 4096;
 
     /**
-     * Cross-session shard registry; nullptr keeps the legacy
-     * store-less behavior (balanced partition, private shards).
-     * Non-owning — the store must outlive every backend bound
-     * against it.
+     * Cross-session shard registry; nullptr keeps every shard
+     * private (same partition, no hashing or sharing). Non-owning —
+     * the store must outlive every backend bound against it.
      */
     ShardStore *store = nullptr;
 };
@@ -102,10 +101,10 @@ class ShardedBackend final : public AttentionBackend
 {
   public:
     /**
-     * Partition (key, value) into ceil(n / config.shardRows) shards.
-     * Store-less: size-balanced slices, private handles. Store-backed:
-     * prefix-aligned slices with full shards resolved through the
-     * store (live -> spill -> cold) and a private mutable tail.
+     * Partition (key, value) into ceil(n / config.shardRows)
+     * prefix-aligned shards. Store-less: private handles.
+     * Store-backed: full shards resolved through the store (live ->
+     * spill -> cold) and a private mutable tail.
      */
     ShardedBackend(const EngineConfig &inner, Matrix key, Matrix value,
                    ShardedConfig config);

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attention/backend.hpp"
@@ -57,19 +58,27 @@ expectBitIdentical(const AttentionResult &a, const AttentionResult &b)
     EXPECT_EQ(a.iterations, b.iterations);
 }
 
-/** Bind `count` sessions named s0, s1, ... of `rows` rows each. */
-void
+/**
+ * Bind `count` sessions named s0, s1, ... of `rows` rows each;
+ * returns their handles in name order.
+ */
+std::vector<SessionHandle>
 bindSessions(SessionCache &cache, Rng &rng, std::size_t count,
              std::size_t rows, std::size_t d,
              EngineKind kind = EngineKind::ExactFloat)
 {
     EngineConfig cfg;
     cfg.kind = kind;
+    std::vector<SessionHandle> handles;
     for (std::size_t s = 0; s < count; ++s) {
-        cache.bind("s" + std::to_string(s), cfg,
-                   randomMatrix(rng, rows, d),
-                   randomMatrix(rng, rows, d));
+        Matrix key = randomMatrix(rng, rows, d);
+        Matrix value = randomMatrix(rng, rows, d);
+        const BindOutcome bound =
+            cache.bindSession("s" + std::to_string(s), cfg,
+                              std::move(key), std::move(value));
+        handles.push_back(bound.handle);
     }
+    return handles;
 }
 
 TEST(Admission, QueueDepthRejectsWithTypedOutcome)
@@ -78,7 +87,8 @@ TEST(Admission, QueueDepthRejectsWithTypedOutcome)
     const std::size_t d = 8;
     AttentionEngine engine(1);
     SessionCache cache;
-    bindSessions(cache, rng, 1, 10, d);
+    const std::vector<SessionHandle> h =
+        bindSessions(cache, rng, 1, 10, d);
     AdmissionPolicy policy;
     policy.maxQueueDepth = 4;
     BatchScheduler scheduler(engine, cache, 0, policy);
@@ -86,14 +96,14 @@ TEST(Admission, QueueDepthRejectsWithTypedOutcome)
     std::uint64_t lastTicket = 0;
     for (int i = 0; i < 4; ++i) {
         const AdmissionOutcome outcome =
-            scheduler.submit("s0", randomQuery(rng, d));
+            scheduler.submit(h[0], randomQuery(rng, d));
         ASSERT_TRUE(outcome.admitted());
         EXPECT_GT(outcome.ticket, lastTicket);
         lastTicket = outcome.ticket;
     }
     for (int i = 0; i < 2; ++i) {
         const AdmissionOutcome shed =
-            scheduler.submit("s0", randomQuery(rng, d));
+            scheduler.submit(h[0], randomQuery(rng, d));
         EXPECT_FALSE(shed.admitted());
         EXPECT_EQ(shed.decision, AdmissionDecision::RejectedQueueFull);
         EXPECT_EQ(shed.ticket, 0u);
@@ -102,7 +112,7 @@ TEST(Admission, QueueDepthRejectsWithTypedOutcome)
     EXPECT_EQ(scheduler.drain().size(), 4u);
     // Draining frees depth: the next submit is admitted again.
     EXPECT_TRUE(
-        scheduler.submit("s0", randomQuery(rng, d)).admitted());
+        scheduler.submit(h[0], randomQuery(rng, d)).admitted());
     EXPECT_STREQ(
         admissionDecisionName(AdmissionDecision::RejectedQueueFull),
         "rejected_queue_full");
@@ -114,19 +124,20 @@ TEST(Admission, PerSessionCapLeavesOtherSessionsAdmissible)
     const std::size_t d = 8;
     AttentionEngine engine(1);
     SessionCache cache;
-    bindSessions(cache, rng, 2, 10, d);
+    const std::vector<SessionHandle> h =
+        bindSessions(cache, rng, 2, 10, d);
     AdmissionPolicy policy;
     policy.maxPendingPerSession = 2;
     BatchScheduler scheduler(engine, cache, 0, policy);
 
-    EXPECT_TRUE(scheduler.submit("s0", randomQuery(rng, d)).admitted());
-    EXPECT_TRUE(scheduler.submit("s0", randomQuery(rng, d)).admitted());
+    EXPECT_TRUE(scheduler.submit(h[0], randomQuery(rng, d)).admitted());
+    EXPECT_TRUE(scheduler.submit(h[0], randomQuery(rng, d)).admitted());
     const AdmissionOutcome shed =
-        scheduler.submit("s0", randomQuery(rng, d));
+        scheduler.submit(h[0], randomQuery(rng, d));
     EXPECT_EQ(shed.decision, AdmissionDecision::RejectedSessionCap);
     // The cap is per session: s1 is unaffected by s0 being full.
-    EXPECT_TRUE(scheduler.submit("s1", randomQuery(rng, d)).admitted());
-    EXPECT_TRUE(scheduler.submit("s1", randomQuery(rng, d)).admitted());
+    EXPECT_TRUE(scheduler.submit(h[1], randomQuery(rng, d)).admitted());
+    EXPECT_TRUE(scheduler.submit(h[1], randomQuery(rng, d)).admitted());
     EXPECT_EQ(scheduler.pending(), 4u);
     EXPECT_EQ(scheduler.pendingFor("s0"), 2u);
     EXPECT_EQ(scheduler.pendingFor("s1"), 2u);
@@ -141,12 +152,16 @@ TEST(Admission, CostBudgetChargesBackendBytes)
     SessionCache cache;
     EngineConfig cfg;
     cfg.kind = EngineKind::ExactFloat;
-    const auto small = cache.bind("small", cfg,
-                                  randomMatrix(rng, 8, d),
-                                  randomMatrix(rng, 8, d));
-    const auto large = cache.bind("large", cfg,
-                                  randomMatrix(rng, 64, d),
-                                  randomMatrix(rng, 64, d));
+    const SessionHandle smallHandle =
+        cache.bindSession("small", cfg, randomMatrix(rng, 8, d),
+                          randomMatrix(rng, 8, d))
+            .handle;
+    const SessionHandle largeHandle =
+        cache.bindSession("large", cfg, randomMatrix(rng, 64, d),
+                          randomMatrix(rng, 64, d))
+            .handle;
+    const auto small = smallHandle.backend();
+    const auto large = largeHandle.backend();
 
     // The cost estimate is the bound backend's bytes, and probing it
     // perturbs neither the LRU order nor the hit/miss counters.
@@ -164,17 +179,17 @@ TEST(Admission, CostBudgetChargesBackendBytes)
     BatchScheduler scheduler(engine, cache, 0, policy);
 
     EXPECT_TRUE(
-        scheduler.submit("small", randomQuery(rng, d)).admitted());
+        scheduler.submit(smallHandle, randomQuery(rng, d)).admitted());
     EXPECT_EQ(scheduler.queuedCostBytes(), small->memoryBytes());
     const AdmissionOutcome shed =
-        scheduler.submit("large", randomQuery(rng, d));
+        scheduler.submit(largeHandle, randomQuery(rng, d));
     EXPECT_EQ(shed.decision, AdmissionDecision::RejectedCostBudget);
     EXPECT_EQ(scheduler.drain().size(), 1u);
     EXPECT_EQ(scheduler.queuedCostBytes(), 0u);
     // Into an empty queue even an over-budget session is admitted —
     // it must be able to make progress at all.
     EXPECT_TRUE(
-        scheduler.submit("large", randomQuery(rng, d)).admitted());
+        scheduler.submit(largeHandle, randomQuery(rng, d)).admitted());
     EXPECT_EQ(scheduler.drain().size(), 1u);
 }
 
@@ -184,7 +199,8 @@ TEST(Admission, ShedAccountingInStats)
     const std::size_t d = 8;
     AttentionEngine engine(1);
     SessionCache cache;
-    bindSessions(cache, rng, 2, 10, d);
+    const std::vector<SessionHandle> h =
+        bindSessions(cache, rng, 2, 10, d);
     AdmissionPolicy policy;
     policy.maxQueueDepth = 3;
     policy.maxPendingPerSession = 2;
@@ -192,14 +208,14 @@ TEST(Admission, ShedAccountingInStats)
 
     for (int i = 0; i < 2; ++i)
         EXPECT_TRUE(
-            scheduler.submit("s0", randomQuery(rng, d)).admitted());
+            scheduler.submit(h[0], randomQuery(rng, d)).admitted());
     // Session cap trips before the global queue has filled.
     EXPECT_FALSE(
-        scheduler.submit("s0", randomQuery(rng, d)).admitted());
-    EXPECT_TRUE(scheduler.submit("s1", randomQuery(rng, d)).admitted());
+        scheduler.submit(h[0], randomQuery(rng, d)).admitted());
+    EXPECT_TRUE(scheduler.submit(h[1], randomQuery(rng, d)).admitted());
     // Now the global depth (3) trips for any session.
     EXPECT_FALSE(
-        scheduler.submit("s1", randomQuery(rng, d)).admitted());
+        scheduler.submit(h[1], randomQuery(rng, d)).admitted());
 
     const BatchSchedulerStats stats = scheduler.stats();
     EXPECT_EQ(stats.submitted, 5u);
@@ -225,7 +241,8 @@ TEST(Fairness, WeightedInterleavingRatioOverManyDrains)
     const std::size_t d = 8;
     AttentionEngine engine(2);
     SessionCache cache;
-    bindSessions(cache, rng, 2, 12, d);
+    const std::vector<SessionHandle> h =
+        bindSessions(cache, rng, 2, 12, d);
     BatchScheduler scheduler(engine, cache, 8);
     scheduler.setSessionWeight("s0", 3);
     EXPECT_EQ(scheduler.sessionWeight("s0"), 3u);
@@ -235,10 +252,10 @@ TEST(Fairness, WeightedInterleavingRatioOverManyDrains)
     // every drain of 8 must split 6:2 along the 3:1 weights.
     for (int i = 0; i < 120; ++i)
         ASSERT_TRUE(
-            scheduler.submit("s0", randomQuery(rng, d)).admitted());
+            scheduler.submit(h[0], randomQuery(rng, d)).admitted());
     for (int i = 0; i < 40; ++i)
         ASSERT_TRUE(
-            scheduler.submit("s1", randomQuery(rng, d)).admitted());
+            scheduler.submit(h[1], randomQuery(rng, d)).admitted());
 
     std::map<std::string, std::size_t> answered;
     for (int round = 0; round < 10; ++round) {
@@ -260,7 +277,8 @@ TEST(Fairness, HotSessionCannotStarveBacklog)
     const std::size_t sessions = 4;
     AttentionEngine engine(2);
     SessionCache cache;
-    bindSessions(cache, rng, sessions, 12, d);
+    const std::vector<SessionHandle> h =
+        bindSessions(cache, rng, sessions, 12, d);
     BatchScheduler scheduler(engine, cache, 8);
 
     // One hot session floods the queue; three cold sessions hold a
@@ -269,13 +287,11 @@ TEST(Fairness, HotSessionCannotStarveBacklog)
     // every backlogged session an equal share of each drain.
     for (int i = 0; i < 200; ++i)
         ASSERT_TRUE(
-            scheduler.submit("s0", randomQuery(rng, d)).admitted());
+            scheduler.submit(h[0], randomQuery(rng, d)).admitted());
     for (std::size_t s = 1; s < sessions; ++s)
         for (int i = 0; i < 30; ++i)
-            ASSERT_TRUE(scheduler
-                            .submit("s" + std::to_string(s),
-                                    randomQuery(rng, d))
-                            .admitted());
+            ASSERT_TRUE(
+                scheduler.submit(h[s], randomQuery(rng, d)).admitted());
 
     std::map<std::string, std::size_t> answered;
     std::size_t total = 0;
@@ -313,15 +329,19 @@ TEST(Fairness, PartialDrainAppendInterleavingKeepsTicketOrder)
     SessionCache cache;
     EngineConfig cfg;
     cfg.kind = EngineKind::ApproxFloat;
-    for (const char *id : {"a", "b"})
-        cache.bind(id, cfg, randomMatrix(rng, 16, d),
-                   randomMatrix(rng, 16, d));
+    std::map<std::string, SessionHandle> handles;
+    for (const char *id : {"a", "b"}) {
+        const Matrix key = randomMatrix(rng, 16, d);
+        const Matrix value = randomMatrix(rng, 16, d);
+        handles[id] = cache.bindSession(id, cfg, key, value).handle;
+    }
     BatchScheduler scheduler(engine, cache, 3);
 
     std::map<std::uint64_t, Vector> queryOf;
     const auto submit = [&](const std::string &session) {
         Vector q = randomQuery(rng, d);
-        const AdmissionOutcome outcome = scheduler.submit(session, q);
+        const AdmissionOutcome outcome =
+            scheduler.submit(handles.at(session), q);
         ASSERT_TRUE(outcome.admitted());
         queryOf.emplace(outcome.ticket, std::move(q));
     };
@@ -332,7 +352,8 @@ TEST(Fairness, PartialDrainAppendInterleavingKeepsTicketOrder)
                 << "session " << done.session
                 << " answered out of ticket order";
             lastAnswered[done.session] = done.ticket;
-            const auto backend = cache.find(done.session);
+            const auto backend =
+                cache.lookupSession(done.session).backend();
             ASSERT_NE(backend, nullptr);
             expectBitIdentical(done.result,
                                backend->run(queryOf.at(done.ticket)));
@@ -347,8 +368,10 @@ TEST(Fairness, PartialDrainAppendInterleavingKeepsTicketOrder)
     EXPECT_EQ(scheduler.pending(), 1u);
     // New requests append behind the leftover; a's context grows in
     // between, so its remaining requests serve the grown task.
-    cache.append("a", randomMatrix(rng, 4, d),
-                 randomMatrix(rng, 4, d));
+    const AppendOutcome grown =
+        cache.appendSession(handles.at("a"), randomMatrix(rng, 4, d),
+                            randomMatrix(rng, 4, d));
+    ASSERT_TRUE(grown.ok());
     submit("a");
     submit("b");
     drainAndCheck();
@@ -383,8 +406,8 @@ TEST(Fairness, BitIdenticalToSequentialUnderEveryPolicy)
         // Same seed per shape: every policy answers the same queries.
         Rng rng(11700);
         SessionCache cache;
-        bindSessions(cache, rng, 3, 16, d,
-                     EngineKind::ApproxQuantized);
+        const std::vector<SessionHandle> h = bindSessions(
+            cache, rng, 3, 16, d, EngineKind::ApproxQuantized);
         BatchScheduler scheduler(engine, cache, shape.maxBatch,
                                  shape.policy);
         if (shape.weighted)
@@ -395,7 +418,7 @@ TEST(Fairness, BitIdenticalToSequentialUnderEveryPolicy)
             const std::string session = "s" + std::to_string(i % 3);
             Vector q = randomQuery(rng, d);
             const AdmissionOutcome outcome =
-                scheduler.submit(session, q);
+                scheduler.submit(h[i % 3], q);
             ASSERT_TRUE(outcome.admitted());
             wanted.emplace(outcome.ticket,
                            std::make_pair(session, std::move(q)));
@@ -406,7 +429,8 @@ TEST(Fairness, BitIdenticalToSequentialUnderEveryPolicy)
                 ++answered;
                 const auto &expected = wanted.at(done.ticket);
                 EXPECT_EQ(done.session, expected.first);
-                const auto backend = cache.find(done.session);
+                const auto backend =
+                    cache.lookupSession(done.session).backend();
                 ASSERT_NE(backend, nullptr);
                 expectBitIdentical(done.result,
                                    backend->run(expected.second));
@@ -422,13 +446,13 @@ TEST(Fairness, LatencyPercentilesPopulateAndReset)
     const std::size_t d = 8;
     AttentionEngine engine(2);
     SessionCache cache;
-    bindSessions(cache, rng, 2, 16, d);
+    const std::vector<SessionHandle> h =
+        bindSessions(cache, rng, 2, 16, d);
     BatchScheduler scheduler(engine, cache, 4);
 
     EXPECT_EQ(scheduler.stats().queueWaitP99, 0.0);
     for (int i = 0; i < 12; ++i)
-        scheduler.submit("s" + std::to_string(i % 2),
-                         randomQuery(rng, d));
+        scheduler.submit(h[i % 2], randomQuery(rng, d));
     while (scheduler.pending() > 0)
         scheduler.drain();
 
@@ -453,7 +477,8 @@ TEST(Admission, DrainedDefaultWeightSessionsAreReclaimed)
     const std::size_t d = 8;
     AttentionEngine engine(1);
     SessionCache cache;
-    bindSessions(cache, rng, 1, 10, d);
+    const std::vector<SessionHandle> h =
+        bindSessions(cache, rng, 1, 10, d);
     EngineConfig cfg;
     cfg.kind = EngineKind::ExactFloat;
     BatchScheduler scheduler(engine, cache, 0);
@@ -462,14 +487,16 @@ TEST(Admission, DrainedDefaultWeightSessionsAreReclaimed)
     // drains, its scheduler state must be reclaimed (bounded memory
     // is the whole point of admission control). All ids resolve to
     // the one bound backend via SessionCache::insert aliases.
-    const auto backend = cache.find("s0");
+    const auto backend = h[0].backend();
     ASSERT_NE(backend, nullptr);
+    SessionHandle conv;
     for (int conversation = 0; conversation < 8; ++conversation) {
         const std::string id =
             "conv-" + std::to_string(conversation);
         cache.insert(id, backend);
+        conv = cache.lookupSession(id);
         EXPECT_TRUE(
-            scheduler.submit(id, randomQuery(rng, d)).admitted());
+            scheduler.submit(conv, randomQuery(rng, d)).admitted());
         EXPECT_EQ(scheduler.trackedSessions(), 1u);
         EXPECT_EQ(scheduler.drain().size(), 1u);
         EXPECT_EQ(scheduler.trackedSessions(), 0u);
@@ -480,9 +507,9 @@ TEST(Admission, DrainedDefaultWeightSessionsAreReclaimed)
     capped.maxQueueDepth = 1;
     BatchScheduler bounded(engine, cache, 0, capped);
     EXPECT_TRUE(
-        bounded.submit("s0", randomQuery(rng, d)).admitted());
+        bounded.submit(h[0], randomQuery(rng, d)).admitted());
     EXPECT_FALSE(
-        bounded.submit("conv-9", randomQuery(rng, d)).admitted());
+        bounded.submit(conv, randomQuery(rng, d)).admitted());
     EXPECT_EQ(bounded.trackedSessions(), 1u);
 
     // Non-default weights persist across idle periods; resetting to

@@ -17,6 +17,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "attention/backend.hpp"
@@ -48,18 +49,26 @@ randomQuery(Rng &rng, std::size_t d)
     return q;
 }
 
-/** Bind `count` sessions named s0, s1, ... of `rows` rows each. */
-void
+/**
+ * Bind `count` sessions named s0, s1, ... of `rows` rows each;
+ * returns their handles in name order.
+ */
+std::vector<SessionHandle>
 bindSessions(SessionCache &cache, Rng &rng, std::size_t count,
              std::size_t rows, std::size_t d)
 {
     EngineConfig cfg;
     cfg.kind = EngineKind::ExactFloat;
+    std::vector<SessionHandle> handles;
     for (std::size_t s = 0; s < count; ++s) {
-        cache.bind("s" + std::to_string(s), cfg,
-                   randomMatrix(rng, rows, d),
-                   randomMatrix(rng, rows, d));
+        Matrix key = randomMatrix(rng, rows, d);
+        Matrix value = randomMatrix(rng, rows, d);
+        const BindOutcome bound =
+            cache.bindSession("s" + std::to_string(s), cfg,
+                              std::move(key), std::move(value));
+        handles.push_back(bound.handle);
     }
+    return handles;
 }
 
 SubmitOptions
@@ -84,15 +93,16 @@ TEST(Deadline, ExpiredRequestShedWithTypedOutcome)
     const std::size_t d = 8;
     AttentionEngine engine(1);
     SessionCache cache;
-    bindSessions(cache, rng, 1, 12, d);
+    const std::vector<SessionHandle> h =
+        bindSessions(cache, rng, 1, 12, d);
     BatchScheduler scheduler(engine, cache);
 
     // An effectively-instant deadline: any real queue wait blows it.
     const AdmissionOutcome expired = scheduler.submit(
-        "s0", randomQuery(rng, d), withDeadline(1e-9));
+        h[0], randomQuery(rng, d), withDeadline(1e-9));
     ASSERT_TRUE(expired.admitted());
     const AdmissionOutcome live =
-        scheduler.submit("s0", randomQuery(rng, d));
+        scheduler.submit(h[0], randomQuery(rng, d));
     ASSERT_TRUE(live.admitted());
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
 
@@ -125,12 +135,14 @@ TEST(Deadline, GenerousDeadlineAnswersBitIdentical)
     cfg.kind = EngineKind::ExactFloat;
     const Matrix key = randomMatrix(rng, 24, d);
     const Matrix value = randomMatrix(rng, 24, d);
-    const auto backend = cache.bind("s0", cfg, key, value);
+    const SessionHandle handle =
+        cache.bindSession("s0", cfg, key, value).handle;
+    const auto backend = handle.backend();
     BatchScheduler scheduler(engine, cache);
 
     const Vector query = randomQuery(rng, d);
     ASSERT_TRUE(scheduler
-                    .submit("s0", query, withDeadline(3600.0))
+                    .submit(handle, query, withDeadline(3600.0))
                     .admitted());
     const std::vector<ServingResult> completions = scheduler.drain();
     ASSERT_EQ(completions.size(), 1u);
@@ -151,16 +163,17 @@ TEST(Deadline, ShedConsumesNoBatchSlot)
     const std::size_t d = 8;
     AttentionEngine engine(1);
     SessionCache cache;
-    bindSessions(cache, rng, 1, 12, d);
+    const std::vector<SessionHandle> h =
+        bindSessions(cache, rng, 1, 12, d);
     BatchScheduler scheduler(engine, cache, 2);
 
     const AdmissionOutcome doomed = scheduler.submit(
-        "s0", randomQuery(rng, d), withDeadline(1e-9));
+        h[0], randomQuery(rng, d), withDeadline(1e-9));
     ASSERT_TRUE(doomed.admitted());
     ASSERT_TRUE(
-        scheduler.submit("s0", randomQuery(rng, d)).admitted());
+        scheduler.submit(h[0], randomQuery(rng, d)).admitted());
     ASSERT_TRUE(
-        scheduler.submit("s0", randomQuery(rng, d)).admitted());
+        scheduler.submit(h[0], randomQuery(rng, d)).admitted());
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
 
     const std::vector<ServingResult> completions = scheduler.drain();
@@ -180,15 +193,16 @@ TEST(Deadline, FullyExpiredQueueDrainsCleanly)
     const std::size_t d = 8;
     AttentionEngine engine(1);
     SessionCache cache;
-    bindSessions(cache, rng, 2, 12, d);
+    const std::vector<SessionHandle> h =
+        bindSessions(cache, rng, 2, 12, d);
     BatchScheduler scheduler(engine, cache);
     for (int i = 0; i < 3; ++i) {
         ASSERT_TRUE(scheduler
-                        .submit("s0", randomQuery(rng, d),
+                        .submit(h[0], randomQuery(rng, d),
                                 withDeadline(1e-9))
                         .admitted());
         ASSERT_TRUE(scheduler
-                        .submit("s1", randomQuery(rng, d),
+                        .submit(h[1], randomQuery(rng, d),
                                 withDeadline(1e-9))
                         .admitted());
     }
@@ -211,16 +225,17 @@ TEST(Deadline, UnmeetableDeadlineRejectedAtSubmit)
     const std::size_t d = 8;
     AttentionEngine engine(1);
     SessionCache cache;
-    bindSessions(cache, rng, 1, 64, d);
+    const std::vector<SessionHandle> h =
+        bindSessions(cache, rng, 1, 64, d);
     BatchScheduler scheduler(engine, cache);
 
     // Cold scheduler: no service signal yet, so even an absurd
     // deadline is admitted behind queued work (shed-at-drain remains
     // the backstop for it).
     ASSERT_TRUE(
-        scheduler.submit("s0", randomQuery(rng, d)).admitted());
+        scheduler.submit(h[0], randomQuery(rng, d)).admitted());
     ASSERT_TRUE(scheduler
-                    .submit("s0", randomQuery(rng, d),
+                    .submit(h[0], randomQuery(rng, d),
                             withDeadline(1e-12))
                     .admitted());
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -233,19 +248,19 @@ TEST(Deadline, UnmeetableDeadlineRejectedAtSubmit)
     // Into an EMPTY queue the same deadline is still admitted: the
     // expected wait ahead of it is zero.
     const AdmissionOutcome head = scheduler.submit(
-        "s0", randomQuery(rng, d), withDeadline(1e-12));
+        h[0], randomQuery(rng, d), withDeadline(1e-12));
     EXPECT_TRUE(head.admitted());
 
     // With work queued ahead, pending × p95 dwarfs the deadline.
     const AdmissionOutcome rejected = scheduler.submit(
-        "s0", randomQuery(rng, d), withDeadline(1e-12));
+        h[0], randomQuery(rng, d), withDeadline(1e-12));
     EXPECT_FALSE(rejected.admitted());
     EXPECT_EQ(rejected.decision,
               AdmissionDecision::RejectedDeadlineUnmeetable);
     EXPECT_EQ(rejected.ticket, 0u);
     // A deadline-free request is untouched by the estimate.
     EXPECT_TRUE(
-        scheduler.submit("s0", randomQuery(rng, d)).admitted());
+        scheduler.submit(h[0], randomQuery(rng, d)).admitted());
 
     const BatchSchedulerStats stats = scheduler.stats();
     EXPECT_EQ(stats.rejectedDeadlineUnmeetable, 1u);
@@ -261,7 +276,8 @@ TEST(Deadline, AdaptiveDepthEngagesAfterServiceSignal)
     const std::size_t d = 8;
     AttentionEngine engine(1);
     SessionCache cache;
-    bindSessions(cache, rng, 1, 64, d);
+    const std::vector<SessionHandle> h =
+        bindSessions(cache, rng, 1, 64, d);
     AdmissionPolicy policy;
     // A target far below any real service time drives the derived
     // depth to its floor — deterministic regardless of machine speed.
@@ -272,16 +288,16 @@ TEST(Deadline, AdaptiveDepthEngagesAfterServiceSignal)
     // service sample, so a burst is admitted in full.
     for (int i = 0; i < 4; ++i)
         ASSERT_TRUE(
-            scheduler.submit("s0", randomQuery(rng, d)).admitted());
+            scheduler.submit(h[0], randomQuery(rng, d)).admitted());
     EXPECT_EQ(scheduler.adaptiveQueueDepth(), 0u);
     ASSERT_EQ(scheduler.drain().size(), 4u);
     EXPECT_EQ(scheduler.adaptiveQueueDepth(), 1u);
 
     // Warm: depth 1 admits one queued request and sheds the second.
     ASSERT_TRUE(
-        scheduler.submit("s0", randomQuery(rng, d)).admitted());
+        scheduler.submit(h[0], randomQuery(rng, d)).admitted());
     const AdmissionOutcome rejected =
-        scheduler.submit("s0", randomQuery(rng, d));
+        scheduler.submit(h[0], randomQuery(rng, d));
     EXPECT_FALSE(rejected.admitted());
     EXPECT_EQ(rejected.decision,
               AdmissionDecision::RejectedAdaptiveDepth);
@@ -301,20 +317,21 @@ TEST(Deadline, AdaptiveDepthHonorsConfiguredFloor)
     const std::size_t d = 8;
     AttentionEngine engine(1);
     SessionCache cache;
-    bindSessions(cache, rng, 1, 32, d);
+    const std::vector<SessionHandle> h =
+        bindSessions(cache, rng, 1, 32, d);
     AdmissionPolicy policy;
     policy.targetLatencySeconds = 1e-9;
     policy.minAdaptiveQueueDepth = 3;
     BatchScheduler scheduler(engine, cache, 0, policy);
 
     ASSERT_TRUE(
-        scheduler.submit("s0", randomQuery(rng, d)).admitted());
+        scheduler.submit(h[0], randomQuery(rng, d)).admitted());
     scheduler.drain();
     EXPECT_EQ(scheduler.adaptiveQueueDepth(), 3u);
     for (int i = 0; i < 3; ++i)
         ASSERT_TRUE(
-            scheduler.submit("s0", randomQuery(rng, d)).admitted());
-    EXPECT_EQ(scheduler.submit("s0", randomQuery(rng, d)).decision,
+            scheduler.submit(h[0], randomQuery(rng, d)).admitted());
+    EXPECT_EQ(scheduler.submit(h[0], randomQuery(rng, d)).decision,
               AdmissionDecision::RejectedAdaptiveDepth);
 }
 
@@ -324,13 +341,14 @@ TEST(Deadline, ResetCountersPreservesAdmissionSignal)
     const std::size_t d = 8;
     AttentionEngine engine(1);
     SessionCache cache;
-    bindSessions(cache, rng, 1, 32, d);
+    const std::vector<SessionHandle> h =
+        bindSessions(cache, rng, 1, 32, d);
     AdmissionPolicy policy;
     policy.targetLatencySeconds = 1e-9;
     BatchScheduler scheduler(engine, cache, 0, policy);
 
     ASSERT_TRUE(
-        scheduler.submit("s0", randomQuery(rng, d)).admitted());
+        scheduler.submit(h[0], randomQuery(rng, d)).admitted());
     scheduler.drain();
     ASSERT_EQ(scheduler.adaptiveQueueDepth(), 1u);
 
@@ -347,8 +365,8 @@ TEST(Deadline, ResetCountersPreservesAdmissionSignal)
     EXPECT_EQ(stats.adaptiveQueueDepth, 1u);
     EXPECT_GT(stats.requestServiceP95, 0.0);
     ASSERT_TRUE(
-        scheduler.submit("s0", randomQuery(rng, d)).admitted());
-    EXPECT_EQ(scheduler.submit("s0", randomQuery(rng, d)).decision,
+        scheduler.submit(h[0], randomQuery(rng, d)).admitted());
+    EXPECT_EQ(scheduler.submit(h[0], randomQuery(rng, d)).decision,
               AdmissionDecision::RejectedAdaptiveDepth);
 }
 
@@ -358,7 +376,8 @@ TEST(Deadline, ClassWeightSplitsTruncatedDrain)
     const std::size_t d = 8;
     AttentionEngine engine(1);
     SessionCache cache;
-    bindSessions(cache, rng, 1, 16, d);
+    const std::vector<SessionHandle> h =
+        bindSessions(cache, rng, 1, 16, d);
     BatchScheduler scheduler(engine, cache, 4);
     scheduler.setClassWeight("premium", 3);
     EXPECT_EQ(scheduler.classWeight("premium"), 3u);
@@ -368,13 +387,13 @@ TEST(Deadline, ClassWeightSplitsTruncatedDrain)
     std::vector<std::uint64_t> defaultTickets;
     for (int i = 0; i < 6; ++i) {
         const AdmissionOutcome outcome = scheduler.submit(
-            "s0", randomQuery(rng, d), withClass("premium"));
+            h[0], randomQuery(rng, d), withClass("premium"));
         ASSERT_TRUE(outcome.admitted());
         premiumTickets.push_back(outcome.ticket);
     }
     for (int i = 0; i < 6; ++i) {
         const AdmissionOutcome outcome =
-            scheduler.submit("s0", randomQuery(rng, d));
+            scheduler.submit(h[0], randomQuery(rng, d));
         ASSERT_TRUE(outcome.admitted());
         defaultTickets.push_back(outcome.ticket);
     }
@@ -419,7 +438,8 @@ TEST(Deadline, ClassLanesComposeWithSessionWeights)
     const std::size_t d = 8;
     AttentionEngine engine(1);
     SessionCache cache;
-    bindSessions(cache, rng, 2, 16, d);
+    const std::vector<SessionHandle> h =
+        bindSessions(cache, rng, 2, 16, d);
     BatchScheduler scheduler(engine, cache, 5);
     scheduler.setSessionWeight("s0", 2);
     scheduler.setClassWeight("premium", 2);
@@ -427,14 +447,14 @@ TEST(Deadline, ClassLanesComposeWithSessionWeights)
     std::vector<std::uint64_t> heavy;
     for (int i = 0; i < 6; ++i) {
         const AdmissionOutcome outcome = scheduler.submit(
-            "s0", randomQuery(rng, d), withClass("premium"));
+            h[0], randomQuery(rng, d), withClass("premium"));
         ASSERT_TRUE(outcome.admitted());
         heavy.push_back(outcome.ticket);
     }
     std::vector<std::uint64_t> light;
     for (int i = 0; i < 6; ++i) {
         const AdmissionOutcome outcome =
-            scheduler.submit("s1", randomQuery(rng, d));
+            scheduler.submit(h[1], randomQuery(rng, d));
         ASSERT_TRUE(outcome.admitted());
         light.push_back(outcome.ticket);
     }

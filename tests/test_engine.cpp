@@ -261,7 +261,9 @@ TEST(AttentionEngine, EmptyBatch)
                                   ApproxConfig::conservative());
     const AttentionEngine engine(4);
     EXPECT_TRUE(engine.run(backend, {}).empty());
-    EXPECT_TRUE(engine.runGroups({}).empty());
+    std::vector<std::vector<AttentionResult>> grouped(2);
+    engine.runGroupsInto({}, grouped);
+    EXPECT_TRUE(grouped.empty());
 }
 
 TEST(AttentionEngine, SingleQueryBatch)
@@ -293,7 +295,8 @@ TEST(AttentionEngine, RequestGroupsKeepPerGroupOrder)
     groups.push_back({&backendC, c.queries});
 
     const AttentionEngine engine(8);
-    const auto results = engine.runGroups(groups);
+    std::vector<std::vector<AttentionResult>> results;
+    engine.runGroupsInto(groups, results);
     ASSERT_EQ(results.size(), 3u);
     ASSERT_EQ(results[0].size(), 5u);
     ASSERT_EQ(results[1].size(), 2u);

@@ -181,7 +181,8 @@ TEST(FlattenedEngine, MixedGroupsBitIdenticalAcrossThreadCounts)
     for (const std::size_t threads : {1u, 2u, 4u}) {
         SCOPED_TRACE("threads " + std::to_string(threads));
         const AttentionEngine engine(threads);
-        const auto results = engine.runGroups(groups);
+        std::vector<std::vector<AttentionResult>> results;
+        engine.runGroupsInto(groups, results);
         ASSERT_EQ(results.size(), groups.size());
         for (std::size_t g = 0; g < groups.size(); ++g) {
             ASSERT_EQ(results[g].size(), groups[g].queries.size());
@@ -255,16 +256,18 @@ TEST(FlattenedEngine, MixedDrainParallelBitIdenticalToSerial)
 
     const auto runTier = [&](std::size_t threads) {
         AttentionEngine engine(threads);
-        SessionCache cache(64u << 20);
+        SessionCache cache({.byteBudget = 64u << 20});
         ShardedConfig sharding;
         sharding.shardRows = 48;
         cache.insert("huge", makeShardedBackend(cfg, hugeKey,
                                                 hugeValue, sharding));
         cache.insert("small", makeBackend(cfg, smallKey, smallValue));
+        const SessionHandle huge = cache.lookupSession("huge");
+        const SessionHandle small = cache.lookupSession("small");
         BatchScheduler scheduler(engine, cache);
         for (int i = 0; i < 6; ++i) {
-            scheduler.submit("huge", hugeQueries[i]);
-            scheduler.submit("small", smallQueries[i]);
+            scheduler.submit(huge, hugeQueries[i]);
+            scheduler.submit(small, smallQueries[i]);
         }
         return scheduler.drain();
     };
@@ -289,7 +292,7 @@ TEST(FlattenedEngine, WorkUnitsCountedPerDrain)
     EngineConfig cfg;
     cfg.kind = EngineKind::ExactFloat;
     AttentionEngine engine(2);
-    SessionCache cache(64u << 20);
+    SessionCache cache({.byteBudget = 64u << 20});
     ShardedConfig sharding;
     sharding.shardRows = 16;
     cache.insert("sharded",
@@ -298,10 +301,12 @@ TEST(FlattenedEngine, WorkUnitsCountedPerDrain)
                                     sharding));  // 4 shards
     cache.insert("plain", makeBackend(cfg, randomMatrix(rng, 16, d),
                                       randomMatrix(rng, 16, d)));
+    const SessionHandle sharded = cache.lookupSession("sharded");
+    const SessionHandle plain = cache.lookupSession("plain");
     BatchScheduler scheduler(engine, cache);
     for (int i = 0; i < 3; ++i) {
-        scheduler.submit("sharded", randomQuery(rng, d));
-        scheduler.submit("plain", randomQuery(rng, d));
+        scheduler.submit(sharded, randomQuery(rng, d));
+        scheduler.submit(plain, randomQuery(rng, d));
     }
     ASSERT_EQ(scheduler.drain().size(), 6u);
     const BatchSchedulerStats stats = scheduler.stats();

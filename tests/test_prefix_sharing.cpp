@@ -694,11 +694,9 @@ TEST(PrefixSharing, StoreBackedMatchesStoreLessResults)
     const Matrix key = randomMatrix(rng, n, d);
     const Matrix value = randomMatrix(rng, n, d);
 
-    // Store-backed partitioning is prefix-aligned rather than
-    // balanced, so shard boundaries differ from the legacy layout —
-    // but the merged answer must agree to the documented reference
-    // bound, and for a single shard both modes are bit-identical to
-    // the unsharded backend.
+    // Both store modes slice rows into the same prefix-aligned
+    // shards, so they answer bit-identically at any shard count; for
+    // a single shard both are bit-identical to the unsharded backend.
     for (EngineKind kind : kAllKinds) {
         SCOPED_TRACE(engineKindName(kind));
         const EngineConfig config = configOf(kind);
@@ -716,6 +714,23 @@ TEST(PrefixSharing, StoreBackedMatchesStoreLessResults)
             AttentionResult got, want;
             sharded.runInto(query, got);
             plain->runInto(query, want);
+            expectBitIdentical(got, want);
+        }
+
+        // 80 rows at 32: two full shards from the store plus a
+        // private 16-row tail, against three private shards.
+        ShardStore multiStore;
+        const ShardedBackend storeBacked(
+            config, key, value, ShardedConfig{32, &multiStore});
+        const ShardedBackend storeLess(config, key, value,
+                                       ShardedConfig{32});
+        ASSERT_EQ(storeBacked.shardCount(), 3u);
+        ASSERT_EQ(storeLess.shardCount(), 3u);
+        for (int i = 0; i < 3; ++i) {
+            const Vector query = randomQuery(qrng, d);
+            AttentionResult got, want;
+            storeBacked.runInto(query, got);
+            storeLess.runInto(query, want);
             expectBitIdentical(got, want);
         }
     }
@@ -907,8 +922,8 @@ TEST(DeadlineBudget, DrainPublishesRemainingBudgetToBackends)
 
     SubmitOptions options;
     options.deadlineSeconds = 5.0;
-    auto admitted =
-        scheduler.submit("doc", randomQuery(rng, d), options);
+    auto admitted = scheduler.submit(cache.lookupSession("doc"),
+                                     randomQuery(rng, d), options);
     ASSERT_TRUE(admitted.admitted());
     auto results = scheduler.drain();
     ASSERT_EQ(results.size(), 1u);
@@ -933,7 +948,8 @@ TEST(DeadlineBudget, GroupsWithoutDeadlinesPublishNoHint)
 
     AttentionEngine engine(1);
     BatchScheduler scheduler(engine, cache);
-    auto admitted = scheduler.submit("doc", randomQuery(rng, d));
+    auto admitted = scheduler.submit(cache.lookupSession("doc"),
+                                     randomQuery(rng, d));
     ASSERT_TRUE(admitted.admitted());
     auto results = scheduler.drain();
     ASSERT_EQ(results.size(), 1u);

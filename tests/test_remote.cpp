@@ -605,7 +605,7 @@ fastConfig()
 TEST(RemoteCoordinatorTest, BitIdenticalToShardedForEveryKind)
 {
     Rng rng(101);
-    const std::size_t n = 70;  // 5 shards of 14 at shardRows 16
+    const std::size_t n = 70;  // 4 x 16 + a 6-row tail
     const std::size_t d = 16;
     const Matrix key = randomMatrix(rng, n, d);
     const Matrix value = randomMatrix(rng, n, d);
@@ -618,13 +618,21 @@ TEST(RemoteCoordinatorTest, BitIdenticalToShardedForEveryKind)
                                       fleet.specs(), config);
         ShardedBackend sharded(inner, key, value,
                                ShardedConfig{config.shardRows});
+        // One layout across the tiers: remote also matches a
+        // store-backed session, whose full shards come from a store.
+        ShardStore store;
+        ShardedBackend stored(inner, key, value,
+                              ShardedConfig{config.shardRows, &store});
         ASSERT_EQ(remote.rows(), sharded.rows());
         ASSERT_EQ(remote.shardCount(), 5u);
+        ASSERT_EQ(stored.shardCount(), 5u);
+        EXPECT_EQ(stored.shardOffset(4), 64u);
 
         for (int i = 0; i < 8; ++i) {
             const Vector query = randomQuery(rng, d);
-            expectBitIdentical(remote.run(query),
-                               sharded.run(query));
+            const AttentionResult got = remote.run(query);
+            expectBitIdentical(got, sharded.run(query));
+            expectBitIdentical(got, stored.run(query));
         }
         const RemoteCoordinatorStats stats = remote.stats();
         EXPECT_EQ(stats.localFallbacks, 0u);
@@ -672,17 +680,28 @@ TEST(RemoteCoordinatorTest, AppendTracksShardedLayout)
                                   config);
     ShardedBackend sharded(inner, key, value,
                            ShardedConfig{config.shardRows});
+    ShardStore store;
+    ShardedBackend stored(inner, key, value,
+                          ShardedConfig{config.shardRows, &store});
 
-    // Crosses the capacity of the last shard and opens a new one.
+    // Crosses the capacity of the last shard and opens a new one:
+    // 16 + 4 grows to 16 + 16 + 6, the store-backed tail freezing
+    // on the way.
     const Matrix moreKey = randomMatrix(rng, 18, d);
     const Matrix moreValue = randomMatrix(rng, 18, d);
     remote.append(moreKey, moreValue);
     sharded.append(moreKey, moreValue);
+    stored.append(moreKey, moreValue);
     ASSERT_EQ(remote.rows(), sharded.rows());
+    ASSERT_EQ(remote.shardCount(), 3u);
+    ASSERT_EQ(stored.shardCount(), 3u);
+    EXPECT_TRUE(stored.shardHandle(1)->frozen());
 
     for (int i = 0; i < 6; ++i) {
         const Vector query = randomQuery(rng, d);
-        expectBitIdentical(remote.run(query), sharded.run(query));
+        const AttentionResult got = remote.run(query);
+        expectBitIdentical(got, sharded.run(query));
+        expectBitIdentical(got, stored.run(query));
     }
 }
 
@@ -916,6 +935,7 @@ TEST(RemoteFaultToleranceTest, SchedulerDrainSurvivesFailover)
     SessionCache cache;
     BatchScheduler scheduler(engine, cache);
     cache.insert("remote", remote);
+    const SessionHandle handle = cache.lookupSession("remote");
 
     std::vector<std::uint64_t> tickets;
     std::vector<Vector> queries;
@@ -923,7 +943,7 @@ TEST(RemoteFaultToleranceTest, SchedulerDrainSurvivesFailover)
         for (int i = 0; i < count; ++i) {
             Vector q = randomQuery(rng, d);
             const AdmissionOutcome outcome =
-                scheduler.submit("remote", q);
+                scheduler.submit(handle, q);
             ASSERT_TRUE(outcome.admitted());
             tickets.push_back(outcome.ticket);
             queries.push_back(std::move(q));

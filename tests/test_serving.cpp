@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "attention/approx_attention.hpp"
@@ -58,6 +59,17 @@ expectBitIdentical(const AttentionResult &a, const AttentionResult &b)
     EXPECT_EQ(a.candidates, b.candidates);
     EXPECT_EQ(a.kept, b.kept);
     EXPECT_EQ(a.iterations, b.iterations);
+}
+
+/** Bind `id` to fresh random rows x d matrices; returns its handle. */
+SessionHandle
+bindRandom(SessionCache &cache, Rng &rng, const std::string &id,
+           const EngineConfig &cfg, std::size_t rows, std::size_t d)
+{
+    Matrix key = randomMatrix(rng, rows, d);
+    Matrix value = randomMatrix(rng, rows, d);
+    return cache.bindSession(id, cfg, std::move(key), std::move(value))
+        .handle;
 }
 
 /** Concatenate b's rows below a's. */
@@ -193,24 +205,29 @@ TEST(SessionCache, HitSkipsPreprocessingAndCounts)
     const Matrix key = randomMatrix(rng, 32, 8);
     const Matrix value = randomMatrix(rng, 32, 8);
 
-    const auto first = cache.bind("story-1", cfg, key, value);
-    ASSERT_NE(first, nullptr);
+    const BindOutcome first =
+        cache.bindSession("story-1", cfg, key, value);
+    ASSERT_TRUE(first.bound());
+    EXPECT_EQ(first.status, BindStatus::BoundFresh);
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().hits, 0u);
 
     // Second bind of the same session: the very same backend object
     // comes back — the preprocessing (column sort) did not rerun.
-    const auto second = cache.bind("story-1", cfg, key, value);
-    EXPECT_EQ(second.get(), first.get());
+    const BindOutcome second =
+        cache.bindSession("story-1", cfg, key, value);
+    EXPECT_EQ(second.status, BindStatus::AlreadyBound);
+    EXPECT_EQ(second.handle.backend(), first.handle.backend());
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().misses, 1u);
 
-    EXPECT_EQ(cache.find("story-1").get(), first.get());
-    EXPECT_EQ(cache.find("unknown"), nullptr);
+    EXPECT_EQ(cache.lookupSession("story-1").backend(),
+              first.handle.backend());
+    EXPECT_FALSE(cache.lookupSession("unknown").valid());
     EXPECT_EQ(cache.stats().hits, 2u);
     EXPECT_EQ(cache.stats().misses, 2u);
     EXPECT_EQ(cache.sessionCount(), 1u);
-    EXPECT_EQ(cache.bytesInUse(), first->memoryBytes());
+    EXPECT_EQ(cache.bytesInUse(), first.logicalBytes);
 }
 
 TEST(SessionCache, EvictsLeastRecentlyUsedUnderByteBudget)
@@ -220,29 +237,26 @@ TEST(SessionCache, EvictsLeastRecentlyUsedUnderByteBudget)
     cfg.kind = EngineKind::ExactFloat;
     // Each 16 x 8 reference backend holds 2 * 16 * 8 * 4 = 1024 bytes;
     // budget fits exactly two.
-    SessionCache cache(2048);
+    SessionCache cache({.byteBudget = 2048});
     for (const char *id : {"a", "b"})
-        cache.bind(id, cfg, randomMatrix(rng, 16, 8),
-                   randomMatrix(rng, 16, 8));
+        bindRandom(cache, rng, id, cfg, 16, 8);
     EXPECT_EQ(cache.sessionCount(), 2u);
 
     // Touch "a" so "b" is least recently used, then overflow.
-    EXPECT_NE(cache.find("a"), nullptr);
-    cache.bind("c", cfg, randomMatrix(rng, 16, 8),
-               randomMatrix(rng, 16, 8));
+    EXPECT_TRUE(cache.lookupSession("a").valid());
+    bindRandom(cache, rng, "c", cfg, 16, 8);
     EXPECT_EQ(cache.sessionCount(), 2u);
     EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(cache.find("b"), nullptr);
-    EXPECT_NE(cache.find("a"), nullptr);
-    EXPECT_NE(cache.find("c"), nullptr);
+    EXPECT_FALSE(cache.lookupSession("b").valid());
+    EXPECT_TRUE(cache.lookupSession("a").valid());
+    EXPECT_TRUE(cache.lookupSession("c").valid());
     EXPECT_LE(cache.bytesInUse(), cache.byteBudget());
 
     // A session larger than the whole budget still binds (evicting
     // everything else) — the freshly bound session is never evicted.
-    cache.bind("huge", cfg, randomMatrix(rng, 64, 8),
-               randomMatrix(rng, 64, 8));
+    bindRandom(cache, rng, "huge", cfg, 64, 8);
     EXPECT_EQ(cache.sessionCount(), 1u);
-    EXPECT_NE(cache.find("huge"), nullptr);
+    EXPECT_TRUE(cache.lookupSession("huge").valid());
 }
 
 TEST(SessionCache, AppendUpdatesAccountingAndBackend)
@@ -251,19 +265,23 @@ TEST(SessionCache, AppendUpdatesAccountingAndBackend)
     EngineConfig cfg;
     cfg.kind = EngineKind::ApproxQuantized;
     SessionCache cache;
-    const auto backend = cache.bind("s", cfg, randomMatrix(rng, 20, 8),
-                                    randomMatrix(rng, 20, 8));
+    const SessionHandle handle =
+        bindRandom(cache, rng, "s", cfg, 20, 8);
+    const auto backend = handle.backend();
     const std::size_t before = cache.bytesInUse();
-    EXPECT_TRUE(cache.append("s", randomMatrix(rng, 4, 8),
-                             randomMatrix(rng, 4, 8)));
+    const AppendOutcome grown = cache.appendSession(
+        handle, randomMatrix(rng, 4, 8), randomMatrix(rng, 4, 8));
+    EXPECT_TRUE(grown.ok());
     EXPECT_EQ(backend->rows(), 24u);
     EXPECT_GT(cache.bytesInUse(), before);
     EXPECT_EQ(cache.bytesInUse(), backend->memoryBytes());
     EXPECT_EQ(cache.stats().appends, 1u);
-    // An unbound (e.g. concurrently evicted) session is a typed
-    // refusal the caller handles by re-binding, not an abort.
-    EXPECT_FALSE(cache.append("missing", randomMatrix(rng, 1, 8),
-                              randomMatrix(rng, 1, 8)));
+    // A handle to no binding is a typed refusal the caller handles
+    // by re-binding, not an abort.
+    const AppendOutcome refused =
+        cache.appendSession(SessionHandle(), randomMatrix(rng, 1, 8),
+                            randomMatrix(rng, 1, 8));
+    EXPECT_EQ(refused.status, AppendStatus::SessionUnbound);
     EXPECT_EQ(cache.stats().appends, 1u);
 }
 
@@ -273,13 +291,11 @@ TEST(SessionCache, EraseAndClear)
     EngineConfig cfg;
     cfg.kind = EngineKind::ExactFloat;
     SessionCache cache;
-    cache.bind("x", cfg, randomMatrix(rng, 8, 4),
-               randomMatrix(rng, 8, 4));
+    bindRandom(cache, rng, "x", cfg, 8, 4);
     EXPECT_TRUE(cache.erase("x"));
     EXPECT_FALSE(cache.erase("x"));
     EXPECT_EQ(cache.bytesInUse(), 0u);
-    cache.bind("y", cfg, randomMatrix(rng, 8, 4),
-               randomMatrix(rng, 8, 4));
+    bindRandom(cache, rng, "y", cfg, 8, 4);
     cache.clear();
     EXPECT_EQ(cache.sessionCount(), 0u);
     EXPECT_EQ(cache.bytesInUse(), 0u);
@@ -303,10 +319,10 @@ TEST(BatchScheduler, TicketOrderedBitIdenticalCompletions)
     EngineConfig cfg;
     cfg.kind = EngineKind::ApproxFloat;
     const std::vector<std::string> sessions{"alpha", "beta", "gamma"};
+    std::vector<SessionHandle> handles;
     for (std::size_t s = 0; s < sessions.size(); ++s) {
-        cache.bind(sessions[s], cfg,
-                   randomMatrix(rng, 16 + 8 * s, d),
-                   randomMatrix(rng, 16 + 8 * s, d));
+        handles.push_back(
+            bindRandom(cache, rng, sessions[s], cfg, 16 + 8 * s, d));
     }
 
     struct Expected
@@ -319,7 +335,8 @@ TEST(BatchScheduler, TicketOrderedBitIdenticalCompletions)
     for (int round = 0; round < 12; ++round) {
         const std::string &session = sessions[round % sessions.size()];
         Vector q = randomQuery(rng, d);
-        const AdmissionOutcome outcome = scheduler.submit(session, q);
+        const AdmissionOutcome outcome =
+            scheduler.submit(handles[round % sessions.size()], q);
         ASSERT_TRUE(outcome.admitted());
         submitted.push_back({outcome.ticket, session, std::move(q)});
     }
@@ -332,7 +349,8 @@ TEST(BatchScheduler, TicketOrderedBitIdenticalCompletions)
         SCOPED_TRACE("request " + std::to_string(i));
         EXPECT_EQ(completions[i].ticket, submitted[i].ticket);
         EXPECT_EQ(completions[i].session, submitted[i].session);
-        const auto backend = cache.find(submitted[i].session);
+        const auto backend =
+            cache.lookupSession(submitted[i].session).backend();
         ASSERT_NE(backend, nullptr);
         expectBitIdentical(completions[i].result,
                            backend->run(submitted[i].query));
@@ -341,13 +359,15 @@ TEST(BatchScheduler, TicketOrderedBitIdenticalCompletions)
     // Second wave after an incremental append: cache hits serve the
     // grown task, and completions stay bit-identical to sequential
     // runs against it.
-    cache.append("beta", randomMatrix(rng, 3, d),
-                 randomMatrix(rng, 3, d));
+    const AppendOutcome grown = cache.appendSession(
+        handles[1], randomMatrix(rng, 3, d), randomMatrix(rng, 3, d));
+    ASSERT_TRUE(grown.ok());
     std::vector<Expected> wave2;
     for (int round = 0; round < 6; ++round) {
         const std::string &session = sessions[round % 2];  // alpha/beta
         Vector q = randomQuery(rng, d);
-        const AdmissionOutcome outcome = scheduler.submit(session, q);
+        const AdmissionOutcome outcome =
+            scheduler.submit(handles[round % 2], q);
         ASSERT_TRUE(outcome.admitted());
         wave2.push_back({outcome.ticket, session, std::move(q)});
     }
@@ -356,7 +376,8 @@ TEST(BatchScheduler, TicketOrderedBitIdenticalCompletions)
     for (std::size_t i = 0; i < completions2.size(); ++i) {
         SCOPED_TRACE("wave2 request " + std::to_string(i));
         EXPECT_EQ(completions2[i].ticket, wave2[i].ticket);
-        const auto backend = cache.find(wave2[i].session);
+        const auto backend =
+            cache.lookupSession(wave2[i].session).backend();
         ASSERT_NE(backend, nullptr);
         expectBitIdentical(completions2[i].result,
                            backend->run(wave2[i].query));
@@ -372,10 +393,10 @@ TEST(BatchScheduler, MaxBatchLeavesExcessQueued)
     BatchScheduler scheduler(engine, cache, 4);
     EngineConfig cfg;
     cfg.kind = EngineKind::ExactFloat;
-    cache.bind("s", cfg, randomMatrix(rng, 10, d),
-               randomMatrix(rng, 10, d));
+    const SessionHandle handle =
+        bindRandom(cache, rng, "s", cfg, 10, d);
     for (int i = 0; i < 6; ++i)
-        scheduler.submit("s", randomQuery(rng, d));
+        scheduler.submit(handle, randomQuery(rng, d));
     const auto first = scheduler.drain();
     EXPECT_EQ(first.size(), 4u);
     EXPECT_EQ(scheduler.pending(), 2u);
@@ -396,8 +417,8 @@ TEST(BatchScheduler, ConcurrentSubmittersGetDistinctTickets)
     BatchScheduler scheduler(engine, cache);
     EngineConfig cfg;
     cfg.kind = EngineKind::ExactFloat;
-    cache.bind("s", cfg, randomMatrix(rng, 12, d),
-               randomMatrix(rng, 12, d));
+    const SessionHandle handle =
+        bindRandom(cache, rng, "s", cfg, 12, d);
 
     const Vector query = randomQuery(rng, d);
     constexpr int kThreads = 4;
@@ -405,9 +426,9 @@ TEST(BatchScheduler, ConcurrentSubmittersGetDistinctTickets)
     std::vector<std::thread> submitters;
     submitters.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-        submitters.emplace_back([&scheduler, &query] {
+        submitters.emplace_back([&scheduler, &handle, &query] {
             for (int i = 0; i < kPerThread; ++i)
-                scheduler.submit("s", query);
+                scheduler.submit(handle, query);
         });
     }
     for (std::thread &t : submitters)
@@ -435,8 +456,10 @@ TEST(BatchScheduler, UnboundSessionCompletesWithTypedError)
     BatchScheduler scheduler(engine, cache);
     EngineConfig cfg;
     cfg.kind = EngineKind::ExactFloat;
-    cache.bind("bound", cfg, randomMatrix(rng, 12, d),
-               randomMatrix(rng, 12, d));
+    const SessionHandle bound =
+        bindRandom(cache, rng, "bound", cfg, 12, d);
+    const SessionHandle ghost =
+        bindRandom(cache, rng, "ghost", cfg, 10, d);
 
     std::vector<std::uint64_t> ghostTickets;
     std::vector<Vector> ghostQueries;
@@ -444,15 +467,17 @@ TEST(BatchScheduler, UnboundSessionCompletesWithTypedError)
     std::vector<Vector> boundQueries;
     for (int i = 0; i < 6; ++i) {
         Vector q = randomQuery(rng, d);
-        const bool ghost = i % 2 == 0;
+        const bool isGhost = i % 2 == 0;
         const AdmissionOutcome outcome =
-            scheduler.submit(ghost ? "ghost" : "bound", q);
+            scheduler.submit(isGhost ? ghost : bound, q);
         ASSERT_TRUE(outcome.admitted());
-        (ghost ? ghostTickets : boundTickets)
+        (isGhost ? ghostTickets : boundTickets)
             .push_back(outcome.ticket);
-        (ghost ? ghostQueries : boundQueries)
+        (isGhost ? ghostQueries : boundQueries)
             .push_back(std::move(q));
     }
+    // Evicted between submit and drain.
+    ASSERT_TRUE(cache.erase("ghost"));
 
     const auto completions = scheduler.drain();
     ASSERT_EQ(completions.size(), 6u);
@@ -480,25 +505,32 @@ TEST(BatchScheduler, UnboundSessionCompletesWithTypedError)
     // The caller's recovery: bind the session and resubmit. The
     // retry is answered in ticket order, bit-identical to a direct
     // run against the freshly bound backend.
-    const auto backend =
-        cache.bind("ghost", cfg, randomMatrix(rng, 10, d),
-                   randomMatrix(rng, 10, d));
+    const SessionHandle rebound =
+        bindRandom(cache, rng, "ghost", cfg, 10, d);
+    const auto backend = rebound.backend();
+    EXPECT_EQ(ghost.backend(), nullptr);  // the old handle is stale
     std::vector<std::uint64_t> retryTickets;
     for (const Vector &q : ghostQueries) {
-        const AdmissionOutcome outcome =
-            scheduler.submit("ghost", q);
+        const AdmissionOutcome outcome = scheduler.submit(rebound, q);
         ASSERT_TRUE(outcome.admitted());
         retryTickets.push_back(outcome.ticket);
     }
+    // drain() resolves sessions by id, so a query through the stale
+    // handle is answered by the current binding.
+    const AdmissionOutcome viaStale =
+        scheduler.submit(ghost, ghostQueries.front());
+    ASSERT_TRUE(viaStale.admitted());
+    retryTickets.push_back(viaStale.ticket);
     const auto retried = scheduler.drain();
-    ASSERT_EQ(retried.size(), ghostQueries.size());
+    ASSERT_EQ(retried.size(), ghostQueries.size() + 1);
     for (std::size_t i = 0; i < retried.size(); ++i) {
         SCOPED_TRACE("retry " + std::to_string(i));
         EXPECT_EQ(retried[i].ticket, retryTickets[i]);
         EXPECT_GT(retried[i].ticket, completions.back().ticket);
         EXPECT_TRUE(retried[i].ok());
-        expectBitIdentical(retried[i].result,
-                           backend->run(ghostQueries[i]));
+        expectBitIdentical(
+            retried[i].result,
+            backend->run(ghostQueries[i % ghostQueries.size()]));
     }
     EXPECT_STREQ(servingErrorName(ServingError::SessionUnbound),
                  "session_unbound");
@@ -538,11 +570,11 @@ TEST(SessionCache, ResetCountersKeepsSessions)
     EngineConfig cfg;
     cfg.kind = EngineKind::ExactFloat;
     SessionCache cache;
-    cache.bind("s", cfg, randomMatrix(rng, 8, 4),
-               randomMatrix(rng, 8, 4));
-    cache.find("s");
-    cache.find("missing");
-    cache.append("s", randomMatrix(rng, 1, 4), randomMatrix(rng, 1, 4));
+    const SessionHandle handle = bindRandom(cache, rng, "s", cfg, 8, 4);
+    cache.lookupSession("s");
+    cache.lookupSession("missing");
+    cache.appendSession(handle, randomMatrix(rng, 1, 4),
+                        randomMatrix(rng, 1, 4));
     EXPECT_GT(cache.stats().hits + cache.stats().misses, 0u);
 
     cache.resetCounters();
@@ -553,7 +585,7 @@ TEST(SessionCache, ResetCountersKeepsSessions)
     EXPECT_EQ(zeroed.appends, 0u);
     // Sessions and accounting survive: only the counters reset.
     EXPECT_EQ(cache.sessionCount(), 1u);
-    EXPECT_NE(cache.find("s"), nullptr);
+    EXPECT_TRUE(cache.lookupSession("s").valid());
     EXPECT_EQ(cache.stats().hits, 1u);
 }
 
@@ -566,14 +598,12 @@ TEST(BatchScheduler, StatsCountAndReset)
     BatchScheduler scheduler(engine, cache);
     EngineConfig cfg;
     cfg.kind = EngineKind::ExactFloat;
-    cache.bind("a", cfg, randomMatrix(rng, 10, d),
-               randomMatrix(rng, 10, d));
-    cache.bind("b", cfg, randomMatrix(rng, 10, d),
-               randomMatrix(rng, 10, d));
+    const SessionHandle a = bindRandom(cache, rng, "a", cfg, 10, d);
+    const SessionHandle b = bindRandom(cache, rng, "b", cfg, 10, d);
 
     for (int i = 0; i < 3; ++i) {
-        scheduler.submit("a", randomQuery(rng, d));
-        scheduler.submit("b", randomQuery(rng, d));
+        scheduler.submit(a, randomQuery(rng, d));
+        scheduler.submit(b, randomQuery(rng, d));
     }
     EXPECT_EQ(scheduler.drain().size(), 6u);
     scheduler.drain();  // empty: no batch executed, no drain counted
@@ -587,7 +617,7 @@ TEST(BatchScheduler, StatsCountAndReset)
     // Reset zeroes the counters but not the ticket clock: benches
     // measure steady-state after warm-up without perturbing order.
     const std::uint64_t before =
-        scheduler.submit("a", randomQuery(rng, d)).ticket;
+        scheduler.submit(a, randomQuery(rng, d)).ticket;
     scheduler.resetCounters();
     const BatchSchedulerStats zeroed = scheduler.stats();
     EXPECT_EQ(zeroed.submitted, 0u);
@@ -595,7 +625,7 @@ TEST(BatchScheduler, StatsCountAndReset)
     EXPECT_EQ(zeroed.drains, 0u);
     EXPECT_EQ(zeroed.groups, 0u);
     const std::uint64_t after =
-        scheduler.submit("a", randomQuery(rng, d)).ticket;
+        scheduler.submit(a, randomQuery(rng, d)).ticket;
     EXPECT_LT(before, after);
     EXPECT_EQ(scheduler.drain().size(), 2u);
     EXPECT_EQ(scheduler.stats().answered, 2u);

@@ -202,7 +202,7 @@ TEST(ShardedBackend, SingleShardBitIdenticalAllKinds)
 TEST(ShardedBackend, ReferenceMatchesUnshardedWithinUlps)
 {
     Rng rng(11300);
-    const std::size_t n = 257;  // odd: exercises the balanced split
+    const std::size_t n = 257;  // odd: every layout has a short tail
     const std::size_t d = 16;
     EngineConfig cfg;
     cfg.kind = EngineKind::ExactFloat;
@@ -408,11 +408,12 @@ TEST(ShardedBackend, AppendRoutesToLastShardThenOpensNew)
     ShardedConfig sharding;
     sharding.shardRows = 8;
     ShardedBackend sharded(cfg, key, value, sharding);
-    ASSERT_EQ(sharded.shardCount(), 2u);  // balanced 6 + 6
-    EXPECT_EQ(sharded.shard(0).rows(), 6u);
-    EXPECT_EQ(sharded.shard(1).rows(), 6u);
+    ASSERT_EQ(sharded.shardCount(), 2u);  // prefix-aligned 8 + 4
+    EXPECT_EQ(sharded.shard(0).rows(), 8u);
+    EXPECT_EQ(sharded.shard(1).rows(), 4u);
+    EXPECT_EQ(sharded.shardOffset(1), 8u);
 
-    // 2 rows top the last shard up to its 8-row capacity.
+    // 4 rows top the last shard up to its 8-row capacity.
     const auto appendBoth = [&](std::size_t rows) {
         const Matrix keyRows = randomMatrix(rng, rows, d);
         const Matrix valueRows = randomMatrix(rng, rows, d);
@@ -420,7 +421,7 @@ TEST(ShardedBackend, AppendRoutesToLastShardThenOpensNew)
         key.appendRows(keyRows);
         value.appendRows(valueRows);
     };
-    appendBoth(2);
+    appendBoth(4);
     EXPECT_EQ(sharded.shardCount(), 2u);
     EXPECT_EQ(sharded.shard(1).rows(), 8u);
 
@@ -430,7 +431,7 @@ TEST(ShardedBackend, AppendRoutesToLastShardThenOpensNew)
     EXPECT_EQ(sharded.shardCount(), 4u);
     EXPECT_EQ(sharded.shard(2).rows(), 8u);
     EXPECT_EQ(sharded.shard(3).rows(), 3u);
-    EXPECT_EQ(sharded.shardOffset(3), 22u);
+    EXPECT_EQ(sharded.shardOffset(3), 24u);
     EXPECT_EQ(sharded.rows(), key.rows());
 
     // memoryBytes aggregates the shards.
@@ -507,13 +508,14 @@ TEST(ShardedBackend, ServesThroughSessionCacheAndScheduler)
                                    randomMatrix(rng, 96, d),
                                    sharding));
     EXPECT_EQ(cache.bytesInUse(), backend->memoryBytes());
+    const SessionHandle handle = cache.lookupSession("huge");
 
     std::vector<Vector> queries;
     std::vector<std::uint64_t> tickets;
     for (int i = 0; i < 6; ++i) {
         queries.push_back(randomQuery(rng, d));
         tickets.push_back(
-            scheduler.submit("huge", queries.back()).ticket);
+            scheduler.submit(handle, queries.back()).ticket);
     }
     const std::vector<ServingResult> completions = scheduler.drain();
     ASSERT_EQ(completions.size(), queries.size());
@@ -526,8 +528,9 @@ TEST(ShardedBackend, ServesThroughSessionCacheAndScheduler)
     // A cache-routed append lands in the sharded routing: the last
     // 32-row shard is full, so a new shard opens and the accounting
     // follows the grown task.
-    cache.append("huge", randomMatrix(rng, 5, d),
-                 randomMatrix(rng, 5, d));
+    const AppendOutcome grown = cache.appendSession(
+        handle, randomMatrix(rng, 5, d), randomMatrix(rng, 5, d));
+    ASSERT_TRUE(grown.ok());
     const auto &sharded =
         dynamic_cast<const ShardedBackend &>(*backend);
     EXPECT_EQ(sharded.shardCount(), 4u);
