@@ -16,6 +16,11 @@
  *    client queries that failed or returned non-bit-identical
  *    output (acceptance: 0 — the escalation ladder ends in local
  *    fallback, so runInto never fails).
+ *  - "wire_bytes_per_query": frame bytes (headers included, both
+ *    directions) one coordinator query moves at ResultDetail::Output
+ *    and at ResultDetail::Full, counted by a transport wrapper on
+ *    the kill-recovery fleet's layout. Output replies carry the
+ *    d-length partial only; Full adds the dense per-row arrays.
  *
  * Usage: distributed_scaling [out.csv] [--workers W] [--rows N]
  *                            [--queries Q] [--repeats R]
@@ -26,6 +31,7 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -37,6 +43,7 @@
 #include "attention/backend.hpp"
 #include "bench_common.hpp"
 #include "net/process.hpp"
+#include "net/transport.hpp"
 #include "serving/remote_coordinator.hpp"
 #include "serving/sharded_backend.hpp"
 #include "tensor/matrix.hpp"
@@ -86,6 +93,40 @@ bitIdentical(const AttentionResult &a, const AttentionResult &b)
            bitsEqual(a.scores, b.scores) &&
            a.candidates == b.candidates && a.kept == b.kept;
 }
+
+/** Transport wrapper counting the frame bytes it moves. */
+class CountingTransport final : public Transport
+{
+  public:
+    CountingTransport(std::shared_ptr<Transport> inner,
+                      std::shared_ptr<std::atomic<std::uint64_t>> bytes)
+        : inner_(std::move(inner)), bytes_(std::move(bytes))
+    {
+    }
+
+    NetStatus
+    send(const Frame &frame) override
+    {
+        bytes_->fetch_add(kFrameHeaderBytes + frame.payload.size());
+        return inner_->send(frame);
+    }
+
+    NetStatus
+    recv(Frame &out, double timeoutSeconds) override
+    {
+        const NetStatus status = inner_->recv(out, timeoutSeconds);
+        if (status.ok())
+            bytes_->fetch_add(kFrameHeaderBytes + out.payload.size());
+        return status;
+    }
+
+    void close() override { inner_->close(); }
+    bool isOpen() const override { return inner_->isOpen(); }
+
+  private:
+    std::shared_ptr<Transport> inner_;
+    std::shared_ptr<std::atomic<std::uint64_t>> bytes_;
+};
 
 /** A fleet of real shard_worker processes plus their specs. */
 struct Fleet
@@ -148,6 +189,15 @@ struct RecoveryRow
     std::size_t localFallbacks = 0;
     std::size_t queries = 0;
     std::size_t repeats = 0;
+};
+
+struct WireRow
+{
+    std::size_t workers = 0;
+    std::size_t rows = 0;
+    std::size_t shards = 0;
+    double outputBytes = 0.0;
+    double fullBytes = 0.0;
 };
 
 double
@@ -286,6 +336,42 @@ measureKillRecovery(const std::string &workerBin,
     row.failovers = stats.failovers;
     row.rebinds = stats.rebinds;
     row.localFallbacks = stats.localFallbacks;
+    return row;
+}
+
+WireRow
+measureWireBytes(const std::string &workerBin, std::size_t workers,
+                 const Matrix &key, const Matrix &value,
+                 const std::vector<Vector> &queries)
+{
+    const EngineConfig inner;  // ExactFloat
+    Fleet fleet = spawnFleet(workerBin, workers, "wire");
+    auto bytes = std::make_shared<std::atomic<std::uint64_t>>(0);
+    RemoteShardConfig config = benchConfig(
+        key.rows(), workers, std::min<std::size_t>(2, workers));
+    config.decorateTransport =
+        [bytes](std::shared_ptr<Transport> transport)
+        -> std::shared_ptr<Transport> {
+        return std::make_shared<CountingTransport>(
+            std::move(transport), bytes);
+    };
+    RemoteShardCoordinator remote(inner, key, value, fleet.specs,
+                                  config);
+
+    WireRow row;
+    row.workers = workers;
+    row.rows = key.rows();
+    row.shards = remote.shardCount();
+    AttentionResult out;
+    const auto perQuery = [&](ResultDetail detail) {
+        const std::uint64_t before = bytes->load();
+        for (const Vector &q : queries)
+            remote.runInto(q, out, detail);
+        return static_cast<double>(bytes->load() - before) /
+               static_cast<double>(queries.size());
+    };
+    row.outputBytes = perQuery(ResultDetail::Output);
+    row.fullBytes = perQuery(ResultDetail::Full);
     return row;
 }
 
@@ -445,9 +531,17 @@ main(int argc, char **argv)
                                 sharded, queries, repeats));
     }
 
+    const WireRow wire =
+        measureWireBytes(workerBin, workers, key, value, queries);
+
     std::printf("{\n");
     printSweepRows("worker_count_sweep", sweepRows, false);
-    printRecoveryRows("kill_recovery", recoveryRows, true);
+    printRecoveryRows("kill_recovery", recoveryRows, false);
+    std::printf("  \"wire_bytes_per_query\": {\"workers\": %zu, "
+                "\"rows\": %zu, \"shards\": %zu, \"output\": %.1f, "
+                "\"full\": %.1f}\n",
+                wire.workers, wire.rows, wire.shards, wire.outputBytes,
+                wire.fullBytes);
     std::printf("}\n");
 
     if (!csvPath.empty()) {

@@ -89,9 +89,12 @@ main()
                 bindStatusName(reviewer.status), reviewer.sharedShards,
                 reviewer.shardCount, reviewer.chargedBytes >> 20);
 
-    // 2. Questions stream through the ordinary serving tier.
+    // 2. Questions stream through the ordinary serving tier. They
+    //    ask for the per-row detail (weights, kept rows) on top of
+    //    the output vector a plain submit returns.
+    const SubmitOptions withDetail{.detail = ResultDetail::Full};
     for (int i = 0; i < 4; ++i)
-        scheduler.submit(corpus.handle, randomQuery(d));
+        scheduler.submit(corpus.handle, randomQuery(d), withDetail);
     for (const ServingResult &done : scheduler.drain()) {
         float weightSum = 0.0f;
         for (const float w : done.result.weights)
@@ -119,7 +122,7 @@ main()
                 grown.rowsAppended, backend->rows(),
                 grown.shardCount);
 
-    scheduler.submit(corpus.handle, randomQuery(d));
+    scheduler.submit(corpus.handle, randomQuery(d), withDetail);
     const auto wave2 = scheduler.drain();
     std::printf("post-append question answered over %zu rows\n",
                 wave2.front().result.weights.size());

@@ -81,10 +81,13 @@ main()
 
     // 2. A first wave of interleaved questions. The scheduler groups
     //    them per session so every question against one story shares
-    //    its preprocessed backend.
+    //    its preprocessed backend. Answers carry only the output
+    //    vector unless a submit asks for the per-row detail, as this
+    //    wave does to print its selection sizes.
+    const SubmitOptions withDetail{.detail = ResultDetail::Full};
     for (int i = 0; i < 4; ++i) {
-        scheduler.submit(alice.handle, randomQuery(d));
-        scheduler.submit(bob.handle, randomQuery(d));
+        scheduler.submit(alice.handle, randomQuery(d), withDetail);
+        scheduler.submit(bob.handle, randomQuery(d), withDetail);
     }
     for (const ServingResult &done : scheduler.drain()) {
         std::printf("ticket %llu (%s): %zu candidates, %zu rows kept\n",

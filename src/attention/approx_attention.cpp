@@ -213,42 +213,45 @@ ApproxAttention::selectKeptInto(const Vector &query,
 }
 
 void
-ApproxAttention::runInto(const Vector &query,
-                         AttentionResult &out) const
+ApproxAttention::runInto(const Vector &query, AttentionResult &out,
+                         ResultDetail detail) const
 {
     Scratch &scratch = Scratch::forThread();
     const std::size_t iterations = selectKeptInto(query, scratch);
-    const std::size_t count = scratch.rowIds.size();
 
     // Stages 4-5: softmax and weighted sum over the kept rows.
     subsetAttentionInto(key_, value_, query, scratch.kept, out,
-                        scratch);
-    out.candidates.assign(scratch.rowIds.begin(),
-                          scratch.rowIds.end());
+                        scratch, detail);
     out.iterations = iterations;
-    // subsetAttentionInto() only filled scores for kept rows; also
-    // record the candidate scores that post-scoring inspected.
-    for (std::size_t i = 0; i < count; ++i)
-        out.scores[scratch.rowIds[i]] = scratch.candScores[i];
+    if (detail == ResultDetail::Full) {
+        out.candidates.assign(scratch.rowIds.begin(),
+                              scratch.rowIds.end());
+        // subsetAttentionInto() only filled scores for kept rows;
+        // also record the candidate scores post-scoring inspected.
+        for (std::size_t i = 0; i < scratch.rowIds.size(); ++i)
+            out.scores[scratch.rowIds[i]] = scratch.candScores[i];
+    }
 }
 
 void
 ApproxAttention::runPartialInto(const Vector &query,
-                                PartialResult &out) const
+                                PartialResult &out,
+                                ResultDetail detail) const
 {
     Scratch &scratch = Scratch::forThread();
     const std::size_t iterations = selectKeptInto(query, scratch);
-    const std::size_t count = scratch.rowIds.size();
 
     // Stages 4-5, stopped before normalization: the log-sum-exp terms
     // over the kept rows are what a shard merge combines.
     subsetAttentionPartialInto(key_, value_, query, scratch.kept, out,
-                               scratch);
-    out.candidates.assign(scratch.rowIds.begin(),
-                          scratch.rowIds.end());
+                               scratch, detail);
     out.iterations = iterations;
-    for (std::size_t i = 0; i < count; ++i)
-        out.scores[scratch.rowIds[i]] = scratch.candScores[i];
+    if (detail == ResultDetail::Full) {
+        out.candidates.assign(scratch.rowIds.begin(),
+                              scratch.rowIds.end());
+        for (std::size_t i = 0; i < scratch.rowIds.size(); ++i)
+            out.scores[scratch.rowIds[i]] = scratch.candScores[i];
+    }
 }
 
 }  // namespace a3

@@ -39,9 +39,12 @@ class ApproxAttention final : public AttentionBackend
      */
     ApproxAttention(Matrix key, Matrix value, ApproxConfig config);
 
+    using AttentionBackend::runInto;
+    using AttentionBackend::runPartialInto;
+
     /** Answer one query (allocation-free; see AttentionBackend). */
-    void runInto(const Vector &query,
-                 AttentionResult &out) const override;
+    void runInto(const Vector &query, AttentionResult &out,
+                 ResultDetail detail) const override;
 
     /**
      * Native partial path: stages 1-3 (selection and post-scoring)
@@ -52,8 +55,8 @@ class ApproxAttention final : public AttentionBackend
      * result is accuracy-bounded against the unsharded flow rather
      * than bit-tight (the greedy search sees different competitors).
      */
-    void runPartialInto(const Vector &query,
-                        PartialResult &out) const override;
+    void runPartialInto(const Vector &query, PartialResult &out,
+                        ResultDetail detail) const override;
 
     /**
      * Incremental task extension: the new rows are merged into the

@@ -55,15 +55,17 @@ finalizePartialInto(const PartialResult &partial, AttentionResult &result)
 
 void
 AttentionBackend::runPartialInto(const Vector &query,
-                                 PartialResult &out) const
+                                 PartialResult &out,
+                                 ResultDetail detail) const
 {
     // Derived fallback for backends without a native partial path
-    // (the quantized kinds): run the full local pipeline, then
-    // recompute the log-sum-exp terms in float from the kept scores
-    // and scale the normalized weights/output back up by expSum. The
-    // backend's own weighting survives the roundtrip up to ULPs.
+    // (the quantized kinds): run the full local pipeline — the kept
+    // scores are needed at either detail — then recompute the
+    // log-sum-exp terms in float from them and scale the normalized
+    // weights/output back up by expSum. The backend's own weighting
+    // survives the roundtrip up to ULPs.
     thread_local AttentionResult local;
-    runInto(query, local);
+    runInto(query, local, ResultDetail::Full);
 
     float maxScore = -std::numeric_limits<float>::infinity();
     for (const std::uint32_t r : local.kept)
@@ -73,12 +75,19 @@ AttentionBackend::runPartialInto(const Vector &query,
         expSum += std::exp(local.scores[r] - maxScore);
 
     const Kernels &k = activeKernels();
-    out.scores = local.scores;
-    out.candidates = local.candidates;
-    out.kept = local.kept;
+    if (detail == ResultDetail::Full) {
+        out.scores = local.scores;
+        out.candidates = local.candidates;
+        out.kept = local.kept;
+        out.expWeights = local.weights;
+        k.scale(out.expWeights.data(), out.expWeights.size(), expSum);
+    } else {
+        out.scores.clear();
+        out.candidates.clear();
+        out.kept.clear();
+        out.expWeights.clear();
+    }
     out.iterations = local.iterations;
-    out.expWeights = local.weights;
-    k.scale(out.expWeights.data(), out.expWeights.size(), expSum);
     out.accum = local.output;
     k.scale(out.accum.data(), out.accum.size(), expSum);
     out.maxScore = maxScore;
@@ -88,10 +97,11 @@ AttentionBackend::runPartialInto(const Vector &query,
 void
 AttentionBackend::runUnitPartialInto(std::size_t unit,
                                      const Vector &query,
-                                     PartialResult &out) const
+                                     PartialResult &out,
+                                     ResultDetail detail) const
 {
     a3Assert(unit == 0, "single-unit backend asked for unit ", unit);
-    runPartialInto(query, out);
+    runPartialInto(query, out, detail);
 }
 
 void
@@ -130,25 +140,26 @@ ReferenceAttention::ReferenceAttention(Matrix key, Matrix value)
 }
 
 void
-ReferenceAttention::runInto(const Vector &query,
-                            AttentionResult &out) const
+ReferenceAttention::runInto(const Vector &query, AttentionResult &out,
+                            ResultDetail detail) const
 {
     Scratch &scratch = Scratch::forThread();
     scratch.rowIds.resize(key_.rows());
     std::iota(scratch.rowIds.begin(), scratch.rowIds.end(), 0u);
     subsetAttentionInto(key_, value_, query, scratch.rowIds, out,
-                        scratch);
+                        scratch, detail);
 }
 
 void
 ReferenceAttention::runPartialInto(const Vector &query,
-                                   PartialResult &out) const
+                                   PartialResult &out,
+                                   ResultDetail detail) const
 {
     Scratch &scratch = Scratch::forThread();
     scratch.rowIds.resize(key_.rows());
     std::iota(scratch.rowIds.begin(), scratch.rowIds.end(), 0u);
     subsetAttentionPartialInto(key_, value_, query, scratch.rowIds,
-                               out, scratch);
+                               out, scratch, detail);
 }
 
 void
@@ -301,7 +312,8 @@ ApproxQuantizedAttention::dims() const
 
 void
 ApproxQuantizedAttention::runInto(const Vector &query,
-                                  AttentionResult &out) const
+                                  AttentionResult &out,
+                                  ResultDetail detail) const
 {
     const ApproxConfig &config = approx_->config();
     Scratch &scratch = Scratch::forThread();
@@ -311,19 +323,24 @@ ApproxQuantizedAttention::runInto(const Vector &query,
         approx_->candidateRowsInto(query, scratch);
     const std::size_t count = scratch.rowIds.size();
 
-    datapath_->runRowsInto(query, scratch.rowIds, out);
     if (config.postScoring) {
+        // Post-scoring reads the fixed-point scores of every
+        // candidate, so the first pass runs at Full detail.
+        datapath_->runRowsInto(query, scratch.rowIds, out);
         scratch.candScores.resize(count);
         for (std::size_t i = 0; i < count; ++i)
             scratch.candScores[i] = out.scores[scratch.rowIds[i]];
         postScoringSelectInto(scratch.rowIds, scratch.candScores,
                               config.scoreGap(), scratch.kept);
-        datapath_->runRowsInto(query, scratch.kept, out);
+        datapath_->runRowsInto(query, scratch.kept, out, detail);
+    } else {
+        datapath_->runRowsInto(query, scratch.rowIds, out, detail);
     }
-    // Either pipeline pass already recorded its row list as out.kept;
-    // only the candidate list and iteration count remain to fill in.
-    out.candidates.assign(scratch.rowIds.begin(),
-                          scratch.rowIds.end());
+    // The final pipeline pass already recorded its row list as
+    // out.kept; only the candidate list and iteration count remain.
+    if (detail == ResultDetail::Full)
+        out.candidates.assign(scratch.rowIds.begin(),
+                              scratch.rowIds.end());
     out.iterations = iterations;
 }
 

@@ -53,6 +53,11 @@ class WireReader;
  * (kernels/scratch.hpp) and the caller's AttentionResult, so a
  * steady-state runInto() — same thread, reused result object —
  * performs zero heap allocations.
+ *
+ * The entry points that produce a result take a ResultDetail. The
+ * virtual hooks are the three-argument forms; the two-argument
+ * forms are non-virtual shorthands for Full, so derived classes
+ * re-export them with `using AttentionBackend::runInto;` etc.
  */
 class AttentionBackend
 {
@@ -62,7 +67,7 @@ class AttentionBackend
     /** Stable identifier, e.g. "reference", "approx", "quantized". */
     virtual std::string name() const = 0;
 
-    /** Answer one query against the bound task. */
+    /** Answer one query against the bound task (Full detail). */
     AttentionResult
     run(const Vector &query) const
     {
@@ -71,32 +76,51 @@ class AttentionBackend
         return out;
     }
 
+    /** runInto() at ResultDetail::Full. */
+    void
+    runInto(const Vector &query, AttentionResult &out) const
+    {
+        runInto(query, out, ResultDetail::Full);
+    }
+
     /**
-     * Answer one query, writing every field of `out`. Reusing one
-     * result object across calls reuses its buffers: after the first
-     * call at a given task size, no field reallocates.
+     * Answer one query, writing the fields `detail` asks for: every
+     * field at Full; only output and iterations at Output, with the
+     * dense fields cleared. `output` is bit-identical at both
+     * levels. Reusing one result object across calls reuses its
+     * buffers: after the first call at a given task size, no field
+     * reallocates.
      */
-    virtual void runInto(const Vector &query,
-                         AttentionResult &out) const = 0;
+    virtual void runInto(const Vector &query, AttentionResult &out,
+                         ResultDetail detail) const = 0;
+
+    /** runPartialInto() at ResultDetail::Full. */
+    void
+    runPartialInto(const Vector &query, PartialResult &out) const
+    {
+        runPartialInto(query, out, ResultDetail::Full);
+    }
 
     /**
      * Answer one query with softmax partials instead of a normalized
      * result — the shard-local half of the distributed-softmax
      * decomposition (see PartialResult for the math). Like runInto()
-     * this is const, thread-compatible, and reuses `out`'s buffers.
+     * this is const, thread-compatible, reuses `out`'s buffers, and
+     * at Output fills only accum, maxScore, expSum and iterations.
      *
      * The float backends override this with a native partial path
      * whose finalizePartialInto() is bit-identical to runInto(). The
-     * base implementation derives the partials from runInto(): the
-     * log-sum-exp terms are recomputed in float from the kept scores
-     * and the normalized weights/output are scaled back up by expSum,
-     * which preserves the backend's own weighting (the quantized
-     * kinds' truncating divider) at the cost of a ULP-level roundtrip
-     * — sharded quantized results are accuracy-bounded, not
+     * base implementation derives the partials from a Full runInto():
+     * the log-sum-exp terms are recomputed in float from the kept
+     * scores and the normalized weights/output are scaled back up by
+     * expSum, which preserves the backend's own weighting (the
+     * quantized kinds' truncating divider) at the cost of a ULP-level
+     * roundtrip — sharded quantized results are accuracy-bounded, not
      * bit-tight.
      */
     virtual void runPartialInto(const Vector &query,
-                                PartialResult &out) const;
+                                PartialResult &out,
+                                ResultDetail detail) const;
 
     /**
      * Number of independent work units one query against this
@@ -108,17 +132,26 @@ class AttentionBackend
      */
     virtual std::size_t workUnitCount() const { return 1; }
 
+    /** runUnitPartialInto() at ResultDetail::Full. */
+    void
+    runUnitPartialInto(std::size_t unit, const Vector &query,
+                       PartialResult &out) const
+    {
+        runUnitPartialInto(unit, query, out, ResultDetail::Full);
+    }
+
     /**
-     * Compute work unit `unit` of one query: the unit's softmax
-     * partial, ready for mergeUnitsInto(). Like runInto() this is
-     * const, thread-compatible, and reuses `out`'s buffers; distinct
-     * units of one query may run on different threads concurrently.
-     * The base implementation serves single-unit backends by
-     * forwarding to runPartialInto().
+     * Compute work unit `unit` of one query at `detail`: the unit's
+     * softmax partial, ready for mergeUnitsInto(). Like runInto()
+     * this is const, thread-compatible, and reuses `out`'s buffers;
+     * distinct units of one query may run on different threads
+     * concurrently. The base implementation serves single-unit
+     * backends by forwarding to runPartialInto().
      */
     virtual void runUnitPartialInto(std::size_t unit,
                                     const Vector &query,
-                                    PartialResult &out) const;
+                                    PartialResult &out,
+                                    ResultDetail detail) const;
 
     /**
      * Combine one query's per-unit partials (partials[u] from
@@ -128,7 +161,9 @@ class AttentionBackend
      * guarantees of the serial path. The engine only takes this
      * route when workUnitCount() > 1 — single-unit backends keep
      * their exact runInto() path (required for the quantized kinds,
-     * whose partial roundtrip is ULP-bounded, not bit-tight).
+     * whose partial roundtrip is ULP-bounded, not bit-tight). The
+     * result carries what the partials carry (see
+     * finalizePartialInto()).
      */
     virtual void mergeUnitsInto(const std::vector<PartialResult> &partials,
                                 AttentionResult &out) const;
@@ -229,10 +264,12 @@ enum class EngineKind {
 const char *engineKindName(EngineKind kind);
 
 /**
- * Normalize one shard's partials into a full AttentionResult: weights
+ * Normalize one shard's partials into an AttentionResult: weights
  * and output are the partial's expWeights/accum divided by expSum;
- * scores, candidates, kept, and iterations carry over. For the float
- * backends runInto() is exactly runPartialInto() + this call.
+ * scores, candidates, kept, and iterations carry over. A lean
+ * (Output-detail) partial yields a lean result. For the float
+ * backends runInto() is exactly runPartialInto() + this call, at
+ * either detail.
  */
 void finalizePartialInto(const PartialResult &partial,
                          AttentionResult &result);
@@ -276,10 +313,12 @@ class ReferenceAttention final : public AttentionBackend
     ReferenceAttention(Matrix key, Matrix value);
 
     std::string name() const override { return "reference"; }
-    void runInto(const Vector &query,
-                 AttentionResult &out) const override;
-    void runPartialInto(const Vector &query,
-                        PartialResult &out) const override;
+    using AttentionBackend::runInto;
+    using AttentionBackend::runPartialInto;
+    void runInto(const Vector &query, AttentionResult &out,
+                 ResultDetail detail) const override;
+    void runPartialInto(const Vector &query, PartialResult &out,
+                        ResultDetail detail) const override;
     void append(const Matrix &keyRows,
                 const Matrix &valueRows) override;
     std::size_t memoryBytes() const override;
@@ -324,8 +363,9 @@ class ApproxQuantizedAttention final : public AttentionBackend
     ~ApproxQuantizedAttention() override;
 
     std::string name() const override { return "approx-quantized"; }
-    void runInto(const Vector &query,
-                 AttentionResult &out) const override;
+    using AttentionBackend::runInto;
+    void runInto(const Vector &query, AttentionResult &out,
+                 ResultDetail detail) const override;
     void append(const Matrix &keyRows,
                 const Matrix &valueRows) override;
     std::size_t memoryBytes() const override;

@@ -319,8 +319,8 @@ QuantizedAttention::memoryBytes() const
 }
 
 void
-QuantizedAttention::runInto(const Vector &query,
-                            AttentionResult &out) const
+QuantizedAttention::runInto(const Vector &query, AttentionResult &out,
+                            ResultDetail detail) const
 {
     a3Assert(bound_, "one-argument run() needs a bound task; use the "
                      "(key, value, intBits, fracBits) constructor");
@@ -328,17 +328,18 @@ QuantizedAttention::runInto(const Vector &query,
     scratch.rowIds.resize(boundRows_);
     std::iota(scratch.rowIds.begin(), scratch.rowIds.end(), 0u);
     runCore(boundRows_, nullptr, nullptr, query, scratch.rowIds, out,
-            scratch);
+            scratch, detail);
 }
 
 void
 QuantizedAttention::runRowsInto(const Vector &query,
                                 std::span<const std::uint32_t> rows,
-                                AttentionResult &out) const
+                                AttentionResult &out,
+                                ResultDetail detail) const
 {
     a3Assert(bound_, "runRowsInto() needs a bound task");
     runCore(boundRows_, nullptr, nullptr, query, rows, out,
-            Scratch::forThread());
+            Scratch::forThread(), detail);
 }
 
 AttentionResult
@@ -359,7 +360,7 @@ QuantizedAttention::run(const Matrix &key, const Matrix &value,
              "key/value shape mismatch");
     AttentionResult out;
     runCore(key.rows(), &key, &value, query, rows, out,
-            Scratch::forThread());
+            Scratch::forThread(), ResultDetail::Full);
     return out;
 }
 
@@ -368,7 +369,8 @@ QuantizedAttention::runCore(std::size_t n, const Matrix *key,
                             const Matrix *value, const Vector &query,
                             std::span<const std::uint32_t> rows,
                             AttentionResult &result,
-                            Scratch &scratch) const
+                            Scratch &scratch,
+                            ResultDetail detail) const
 {
     a3Assert(key == nullptr ||
                  (key->rows() == n && key->cols() == dims_ &&
@@ -462,10 +464,18 @@ QuantizedAttention::runCore(std::size_t n, const Matrix *key,
                          "~1 by construction");
 
     // --- Module 3: weights and output accumulation (lines 17-21).
-    result.scores.assign(n, 0.0f);
-    result.weights.assign(n, 0.0f);
-    result.candidates.assign(rows.begin(), rows.end());
-    result.kept.assign(rows.begin(), rows.end());
+    const bool full = detail == ResultDetail::Full;
+    if (full) {
+        result.scores.assign(n, 0.0f);
+        result.weights.assign(n, 0.0f);
+        result.candidates.assign(rows.begin(), rows.end());
+        result.kept.assign(rows.begin(), rows.end());
+    } else {
+        result.scores.clear();
+        result.weights.clear();
+        result.candidates.clear();
+        result.kept.clear();
+    }
     result.output.assign(d, 0.0f);
     result.iterations = 0;
 
@@ -484,13 +494,15 @@ QuantizedAttention::runCore(std::size_t n, const Matrix *key,
         // the scales are powers of two, so the product double(raw) *
         // keyScale * queryScale is exact and bit-identical to the
         // dotProduct format's own toDouble().
-        result.scores[r] =
-            packedLanes
-                ? static_cast<float>(static_cast<double>(dotQ[i]) *
-                                     keyScale_[r] * queryScale)
-                : static_cast<float>(
-                      formats_.dotProduct.toDouble(dotQ[i]));
-        result.weights[r] = static_cast<float>(weightV.toDouble());
+        if (full) {
+            result.scores[r] =
+                packedLanes
+                    ? static_cast<float>(static_cast<double>(dotQ[i]) *
+                                         keyScale_[r] * queryScale)
+                    : static_cast<float>(
+                          formats_.dotProduct.toDouble(dotQ[i]));
+            result.weights[r] = static_cast<float>(weightV.toDouble());
+        }
         if (packedLanes) {
             // Fused dequant-dot accumulation on the packed bytes:
             // product.raw below is weightV.raw * vq, which is exactly

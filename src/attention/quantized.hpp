@@ -62,10 +62,11 @@ class QuantizedAttention final : public AttentionBackend
                        PackedKvFormat packedKv = PackedKvFormat::Auto);
 
     using AttentionBackend::run;
+    using AttentionBackend::runInto;
 
     /** Answer one query against the bound task (bound mode only). */
-    void runInto(const Vector &query,
-                 AttentionResult &out) const override;
+    void runInto(const Vector &query, AttentionResult &out,
+                 ResultDetail detail) const override;
 
     /**
      * Incremental task extension (bound mode only): only the appended
@@ -96,7 +97,8 @@ class QuantizedAttention final : public AttentionBackend
      */
     void runRowsInto(const Vector &query,
                      std::span<const std::uint32_t> rows,
-                     AttentionResult &out) const;
+                     AttentionResult &out,
+                     ResultDetail detail = ResultDetail::Full) const;
 
     std::string name() const override { return "quantized"; }
 
@@ -176,7 +178,8 @@ class QuantizedAttention final : public AttentionBackend
     void runCore(std::size_t n, const Matrix *key, const Matrix *value,
                  const Vector &query,
                  std::span<const std::uint32_t> rows,
-                 AttentionResult &out, Scratch &scratch) const;
+                 AttentionResult &out, Scratch &scratch,
+                 ResultDetail detail) const;
 
     /** Quantize and pack `count` task rows onto the packed arrays. */
     void packRows(const Matrix &keyRows, const Matrix &valueRows,

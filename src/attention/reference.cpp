@@ -41,7 +41,7 @@ subsetAttention(const Matrix &key, const Matrix &value,
 {
     AttentionResult result;
     subsetAttentionInto(key, value, query, rows, result,
-                        Scratch::forThread());
+                        Scratch::forThread(), ResultDetail::Full);
     return result;
 }
 
@@ -52,7 +52,9 @@ namespace {
  * their sum, and the accumulation sum u_i * v_i, written straight
  * into caller-owned buffers — PartialResult fields on the partial
  * path, AttentionResult fields on the exact path (which then
- * normalizes in place, avoiding any staging copy).
+ * normalizes in place, avoiding any staging copy). At Output the
+ * dense per-row fields are cleared and never scattered into; the
+ * m-length workspace and the accumulation are the same either way.
  */
 void
 subsetPartialCore(const Matrix &key, const Matrix &value,
@@ -61,7 +63,8 @@ subsetPartialCore(const Matrix &key, const Matrix &value,
                   Vector &expWeights,
                   std::vector<std::uint32_t> &candidates,
                   std::vector<std::uint32_t> &kept, Vector &accum,
-                  float &maxScore, float &expSum, Scratch &scratch)
+                  float &maxScore, float &expSum, Scratch &scratch,
+                  ResultDetail detail)
 {
     a3Assert(key.rows() == value.rows() && key.cols() == value.cols(),
              "key/value shape mismatch");
@@ -75,23 +78,33 @@ subsetPartialCore(const Matrix &key, const Matrix &value,
         a3Assert(r < n, "row index out of range");
 
     const Kernels &k = activeKernels();
-    scores.assign(n, 0.0f);
-    expWeights.assign(n, 0.0f);
-    candidates.assign(rows.begin(), rows.end());
-    kept.assign(rows.begin(), rows.end());
+    const bool full = detail == ResultDetail::Full;
+    if (full) {
+        scores.assign(n, 0.0f);
+        expWeights.assign(n, 0.0f);
+        candidates.assign(rows.begin(), rows.end());
+        kept.assign(rows.begin(), rows.end());
+    } else {
+        scores.clear();
+        expWeights.clear();
+        candidates.clear();
+        kept.clear();
+    }
 
     // Step 1: dot products for the selected rows only.
     scratch.sub.resize(m);
     k.gatherDot(key.data().data(), d, rows.data(), m, query.data(),
                 scratch.sub.data());
-    for (std::size_t i = 0; i < m; ++i)
-        scores[rows[i]] = scratch.sub[i];
+    if (full)
+        for (std::size_t i = 0; i < m; ++i)
+            scores[rows[i]] = scratch.sub[i];
 
     // Step 2: unnormalized softmax terms over the subset.
     maxScore = k.maxReduce(scratch.sub.data(), m);
     expSum = k.expSumInPlace(scratch.sub.data(), m, maxScore);
-    for (std::size_t i = 0; i < m; ++i)
-        expWeights[rows[i]] = scratch.sub[i];
+    if (full)
+        for (std::size_t i = 0; i < m; ++i)
+            expWeights[rows[i]] = scratch.sub[i];
 
     // Step 3: unnormalized accumulation of the selected value rows.
     accum.assign(d, 0.0f);
@@ -105,7 +118,8 @@ void
 subsetAttentionInto(const Matrix &key, const Matrix &value,
                     const Vector &query,
                     std::span<const std::uint32_t> rows,
-                    AttentionResult &result, Scratch &scratch)
+                    AttentionResult &result, Scratch &scratch,
+                    ResultDetail detail)
 {
     // The single-shard specialization of the partial path: the same
     // core writes the unnormalized terms into result's own buffers
@@ -115,7 +129,8 @@ subsetAttentionInto(const Matrix &key, const Matrix &value,
     float expSum = 0.0f;
     subsetPartialCore(key, value, query, rows, result.scores,
                       result.weights, result.candidates, result.kept,
-                      result.output, maxScore, expSum, scratch);
+                      result.output, maxScore, expSum, scratch,
+                      detail);
     result.iterations = 0;
     const Kernels &k = activeKernels();
     k.divideBy(result.weights.data(), result.weights.size(), expSum);
@@ -126,11 +141,13 @@ void
 subsetAttentionPartialInto(const Matrix &key, const Matrix &value,
                            const Vector &query,
                            std::span<const std::uint32_t> rows,
-                           PartialResult &out, Scratch &scratch)
+                           PartialResult &out, Scratch &scratch,
+                           ResultDetail detail)
 {
     subsetPartialCore(key, value, query, rows, out.scores,
                       out.expWeights, out.candidates, out.kept,
-                      out.accum, out.maxScore, out.expSum, scratch);
+                      out.accum, out.maxScore, out.expSum, scratch,
+                      detail);
     out.iterations = 0;
 }
 

@@ -55,12 +55,14 @@ AttentionResult subsetAttention(const Matrix &key, const Matrix &value,
  * `scratch.sub`. `rows` may alias scratch.rowIds or scratch.kept.
  * Implemented as subsetAttentionPartialInto() + finalizePartialInto()
  * — exact attention is the single-shard specialization of the partial
- * path.
+ * path. At ResultDetail::Output only output and iterations are
+ * written (the dense fields are cleared); output is bit-identical.
  */
 void subsetAttentionInto(const Matrix &key, const Matrix &value,
                          const Vector &query,
                          std::span<const std::uint32_t> rows,
-                         AttentionResult &result, Scratch &scratch);
+                         AttentionResult &result, Scratch &scratch,
+                         ResultDetail detail);
 
 /**
  * Partial-output core of the reference path: scores, unnormalized
@@ -69,12 +71,14 @@ void subsetAttentionInto(const Matrix &key, const Matrix &value,
  * needs, and exactly the quantities subsetAttentionInto() normalizes
  * (see PartialResult). Buffer discipline matches subsetAttentionInto:
  * softmax workspace in `scratch.sub`, `rows` may alias scratch row
- * buffers, and every field of `out` is (re)written.
+ * buffers, and every field of `out` is (re)written — the dense ones
+ * cleared at ResultDetail::Output.
  */
 void subsetAttentionPartialInto(const Matrix &key, const Matrix &value,
                                 const Vector &query,
                                 std::span<const std::uint32_t> rows,
-                                PartialResult &out, Scratch &scratch);
+                                PartialResult &out, Scratch &scratch,
+                                ResultDetail detail);
 
 }  // namespace a3
 

@@ -14,9 +14,28 @@
 namespace a3 {
 
 /**
+ * How much of a result the caller asks for. The serving path reads
+ * only the output, so it runs at Output and never pays for the dense
+ * per-row diagnostics; the accuracy harness, the figure benches and
+ * the trace replay ask for Full.
+ */
+enum class ResultDetail {
+    /**
+     * output and iterations (plus accum, maxScore and expSum on a
+     * PartialResult); the per-row arrays and id lists stay empty.
+     */
+    Output,
+
+    /** Every field, including the length-n per-row diagnostics. */
+    Full,
+};
+
+/**
  * Result of one attention operation together with the intermediate
  * values the evaluation needs (scores for top-k recall, weights for
- * post-softmax analysis, selection sizes for Figures 11b/12b).
+ * post-softmax analysis, selection sizes for Figures 11b/12b). At
+ * ResultDetail::Output only `output` and `iterations` are written;
+ * weights, scores, candidates and kept are left empty.
  */
 struct AttentionResult
 {
@@ -64,7 +83,10 @@ struct AttentionResult
  * specialization of the partial path.
  *
  * scores / candidates / kept / iterations mirror AttentionResult but
- * are local to the shard's rows (ids in [0, shard rows)).
+ * are local to the shard's rows (ids in [0, shard rows)). At
+ * ResultDetail::Output a partial carries only accum, maxScore, expSum
+ * and iterations — all a log-sum-exp merge of outputs needs — and
+ * expWeights, scores, candidates and kept are left empty.
  */
 struct PartialResult
 {

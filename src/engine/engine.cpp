@@ -23,6 +23,7 @@ struct GroupView
     const AttentionBackend *backend = nullptr;
     const std::vector<Vector> *queries = nullptr;
     std::vector<AttentionResult> *results = nullptr;
+    ResultDetail detail = ResultDetail::Full;
 };
 
 /**
@@ -123,11 +124,12 @@ runFlattened(const ThreadPool &pool,
         if (unitCount[item.group] == 1) {
             // The backend's exact sequential path — required for the
             // single-unit bit-identity guarantee.
-            view.backend->runInto(query, slot);
+            view.backend->runInto(query, slot, view.detail);
         } else {
             const std::size_t f = queryBase[item.group] + item.query;
             view.backend->runUnitPartialInto(item.unit, query,
-                                             partials[f][item.unit]);
+                                             partials[f][item.unit],
+                                             view.detail);
             if (unitsLeft[f].fetch_sub(
                     1, std::memory_order_acq_rel) != 1)
                 return;
@@ -206,7 +208,7 @@ AttentionEngine::runGroupsInto(
     std::vector<GroupView> views(groups.size());
     for (std::size_t g = 0; g < groups.size(); ++g)
         views[g] = {groups[g].backend, &groups[g].queries,
-                    &results[g]};
+                    &results[g], groups[g].detail};
     runFlattened(pool_, views, onGroupDone);
 }
 

@@ -37,12 +37,15 @@ namespace a3 {
 /**
  * One batch of queries sharing a preprocessed backend — a sequence, a
  * head, or one episode of a request stream. The backend is borrowed
- * and must outlive the engine call.
+ * and must outlive the engine call. `detail` is how much of each
+ * result the group's callers need (see ResultDetail); at Output the
+ * per-query partials of a sharded backend are d-length, not n-length.
  */
 struct AttentionRequestGroup
 {
     const AttentionBackend *backend = nullptr;
     std::vector<Vector> queries;
+    ResultDetail detail = ResultDetail::Full;
 };
 
 /**
@@ -106,8 +109,9 @@ class AttentionEngine
      * serving tier's fairness rides on). Single-unit queries execute
      * the sequential runInto() path and multi-unit queries merge
      * their partials serially in fixed unit order, so results[g][i]
-     * is bit-identical to groups[g].backend->
-     * run(groups[g].queries[i]) regardless of the interleave.
+     * is bit-identical to groups[g].backend->runInto(
+     * groups[g].queries[i], out, groups[g].detail) regardless of
+     * the interleave.
      *
      * An optional `onGroupDone` fires as each group's last query
      * completes (see GroupCompletionHook for the threading

@@ -18,7 +18,9 @@
  *    a bound shard; the reply carries the shard's softmax partials
  *    (PartialReply) or, for single-shard tasks, the full normalized
  *    result (ResultReply) so the coordinator can mirror
- *    ShardedBackend's S = 1 delegation bit for bit.
+ *    ShardedBackend's S = 1 delegation bit for bit. Unless the
+ *    query asks for the dense diagnostics, the reply carries them
+ *    as zero-count arrays.
  *  - Heartbeat / HeartbeatAck: liveness probes driving the
  *    coordinator's healthy/suspect/dead worker states.
  *  - ErrorReply: typed worker-side failure for a request.
@@ -36,8 +38,11 @@
 
 namespace a3 {
 
-/** Protocol version this build speaks. */
-constexpr std::uint16_t kProtocolVersion = 1;
+/**
+ * Protocol version this build speaks. Version 2 turned the Query
+ * frame's wantFull byte into a flags byte (wantFull, wantDetail).
+ */
+constexpr std::uint16_t kProtocolVersion = 2;
 
 /** Frame magic: "A3RP" (A3 remote protocol), little-endian. */
 constexpr std::uint32_t kFrameMagic = 0x50523341u;

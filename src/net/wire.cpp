@@ -133,7 +133,9 @@ WireReader::floats(std::vector<float> &out)
         return;
     }
     out.resize(static_cast<std::size_t>(count));
-    if (kLittleEndianHost) {
+    // A zero count leaves out.data() possibly null, and memcpy's
+    // pointers must be non-null even for zero bytes.
+    if (kLittleEndianHost && count != 0) {
         std::memcpy(out.data(), data_ + pos_,
                     static_cast<std::size_t>(count) * 4);
         pos_ += static_cast<std::size_t>(count) * 4;
@@ -153,7 +155,9 @@ WireReader::u32s(std::vector<std::uint32_t> &out)
         return;
     }
     out.resize(static_cast<std::size_t>(count));
-    if (kLittleEndianHost) {
+    // A zero count leaves out.data() possibly null, and memcpy's
+    // pointers must be non-null even for zero bytes.
+    if (kLittleEndianHost && count != 0) {
         std::memcpy(out.data(), data_ + pos_,
                     static_cast<std::size_t>(count) * 4);
         pos_ += static_cast<std::size_t>(count) * 4;

@@ -125,7 +125,8 @@ BatchScheduler::submit(const SessionHandle &handle, Vector query,
     if (state.pendingTotal == 0)
         activeOrder_.push_back(session);
     lane->pending.push_back({ticket, std::move(query), submitSeconds,
-                             cost, options.deadlineSeconds});
+                             cost, options.deadlineSeconds,
+                             options.detail});
     ++state.pendingTotal;
     ++pendingCount_;
     queuedCostBytes_ += cost;
@@ -420,7 +421,8 @@ BatchScheduler::drain()
                 sessionOf.push_back(session);
                 ticketsOf.emplace_back();
                 groupBudget.push_back(0.0);
-                groups.push_back({backend.get(), {}});
+                groups.push_back(
+                    {backend.get(), {}, ResultDetail::Output});
                 pinned.push_back(std::move(backend));
             }
             groupIndex.emplace(session, g);
@@ -440,6 +442,8 @@ BatchScheduler::drain()
                 (groupBudget[g] == 0.0 || remaining < groupBudget[g]))
                 groupBudget[g] = remaining;
         }
+        if (batch[r].detail == ResultDetail::Full)
+            groups[g].detail = ResultDetail::Full;
         groups[g].queries.push_back(std::move(batch[r].query));
         ticketsOf[g].push_back(batch[r].ticket);
     }

@@ -31,9 +31,10 @@
  * single-class workload reduces to per-session ticket order) — so
  * drains called from one thread, or sequentially, answer each lane
  * in ticket order; concurrent drain() calls own disjoint claims and
- * may return their batches in either order — and every answer is
- * bit-identical to a sequential backend.run(query) — the engine
- * guarantee — regardless of batch composition, weights, admission
+ * may return their batches in either order — and every answer's
+ * output is bit-identical to a sequential backend.run(query) — the
+ * engine guarantee; at ResultDetail::Full the whole result is —
+ * regardless of batch composition, weights, admission
  * policy, deadlines, coalescing, cache hits, appends between
  * drains, or the engine's thread count.
  *
@@ -108,6 +109,16 @@ struct SubmitOptions
      * setClassWeight). The empty string is the default class.
      */
     std::string requestClass;
+
+    /**
+     * How much of the answer the caller needs. The default Output
+     * returns the output vector and iterations only, so the engine
+     * and any remote workers skip the dense per-row diagnostics;
+     * Full also returns weights, scores, candidates and kept. A
+     * drain's session group runs Full if any of its requests asked
+     * for Full. `output` is bit-identical either way.
+     */
+    ResultDetail detail = ResultDetail::Output;
 };
 
 /** One completed request: its ticket, session, and answer. */
@@ -351,6 +362,7 @@ class BatchScheduler
         std::size_t costBytes = 0;
         /** Latency budget; 0 = none. */
         double deadlineSeconds = 0.0;
+        ResultDetail detail = ResultDetail::Output;
     };
 
     /** One request class's FIFO within a session. */

@@ -30,14 +30,23 @@ mergeShardPartials(const std::vector<PartialResult> &partials,
              "one offset per partial");
     const Kernels &k = activeKernels();
 
+    // A shard holds at least one row, so a Full partial always
+    // carries expWeights; an empty one marks a lean partial.
+    const bool full = !partials.front().expWeights.empty();
+
     // Global max first: the shard holding it gets scale exp(0) = 1
     // exactly, so its terms pass through the merge untouched.
     float maxScore = partials.front().maxScore;
     for (const PartialResult &p : partials)
         maxScore = std::max(maxScore, p.maxScore);
 
-    out.scores.assign(totalRows, 0.0f);
-    out.expWeights.assign(totalRows, 0.0f);
+    if (full) {
+        out.scores.assign(totalRows, 0.0f);
+        out.expWeights.assign(totalRows, 0.0f);
+    } else {
+        out.scores.clear();
+        out.expWeights.clear();
+    }
     out.candidates.clear();
     out.kept.clear();
     out.iterations = 0;
@@ -47,17 +56,25 @@ mergeShardPartials(const std::vector<PartialResult> &partials,
 
     // Serial merge in shard-index order, regardless of how the
     // partials were computed — the fixed order that makes parallel,
-    // serial, and remote fan-out bit-identical.
+    // serial, and remote fan-out bit-identical. Lean partials take
+    // only the accumulation and exp-sum terms.
     for (std::size_t s = 0; s < partials.size(); ++s) {
         const PartialResult &p = partials[s];
+        a3Assert(p.expWeights.empty() != full,
+                 "shard partials disagree on their detail");
+        a3Assert(p.accum.size() == dims,
+                 "shard partial dimension mismatch");
+        const float scale = std::exp(p.maxScore - maxScore);
+        k.axpy(scale, p.accum.data(), out.accum.data(), dims);
+        out.expSum += p.expSum * scale;
+        out.iterations += p.iterations;
+        if (!full)
+            continue;
+
         const std::size_t offset = offsets[s];
         const std::size_t local = p.expWeights.size();
         a3Assert(offset + local <= totalRows,
                  "shard partial overruns the task rows");
-        a3Assert(p.accum.size() == dims,
-                 "shard partial dimension mismatch");
-        const float scale = std::exp(p.maxScore - maxScore);
-
         std::copy(p.scores.begin(), p.scores.end(),
                   out.scores.begin() +
                       static_cast<std::ptrdiff_t>(offset));
@@ -65,9 +82,6 @@ mergeShardPartials(const std::vector<PartialResult> &partials,
                   out.expWeights.begin() +
                       static_cast<std::ptrdiff_t>(offset));
         k.scale(out.expWeights.data() + offset, local, scale);
-        k.axpy(scale, p.accum.data(), out.accum.data(), dims);
-        out.expSum += p.expSum * scale;
-        out.iterations += p.iterations;
 
         const auto globalId = [offset](std::uint32_t id) {
             return static_cast<std::uint32_t>(offset + id);

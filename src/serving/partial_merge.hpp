@@ -47,6 +47,13 @@ std::vector<std::size_t> prefixShardSizes(std::size_t n,
  * buffers. The merge order is fixed regardless of how (or where)
  * the partials were computed — the exact-match determinism
  * contract.
+ *
+ * The merge follows what the partials carry. Full partials are
+ * scattered into length-totalRows arrays; lean (Output-detail)
+ * partials — empty expWeights — merge by an axpy on accum alone and
+ * yield a lean partial. The partials must agree on their detail.
+ * accum, maxScore, expSum and iterations are bit-identical either
+ * way.
  */
 void mergeShardPartials(const std::vector<PartialResult> &partials,
                         const std::vector<std::size_t> &offsets,

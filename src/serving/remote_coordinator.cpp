@@ -124,6 +124,7 @@ RemoteShardCoordinator::RemoteShardCoordinator(
         shard.rowCount = sizes[s];
         shard.generation = 1;
         shards_.push_back(std::move(shard));
+        shardOffsets_.push_back(offset);
         offset += sizes[s];
     }
     ensureReplicationAll(/*countRebinds=*/false);
@@ -420,7 +421,7 @@ RemoteShardCoordinator::bindShardTo(std::size_t w, Shard &shard)
         }
         if (isReplyFrame(frame)) {
             // A pipelined query reply overtaking the bind ack.
-            worker.stash[replyRequestId(frame)] = frame;
+            worker.stash[replyRequestId(frame)] = std::move(frame);
             continue;
         }
         // HeartbeatAck and the like: skip.
@@ -475,6 +476,7 @@ RemoteShardCoordinator::sendQuery(std::size_t w,
                                   const Shard &shard,
                                   const Vector &query,
                                   bool wantFull,
+                                  ResultDetail detail,
                                   std::uint64_t &requestId)
 {
     QueryPayload payload;
@@ -482,6 +484,7 @@ RemoteShardCoordinator::sendQuery(std::size_t w,
     payload.shardId = shard.id;
     payload.generation = shard.generation;
     payload.wantFull = wantFull;
+    payload.wantDetail = detail == ResultDetail::Full;
     payload.query = query;
     const NetStatus status =
         workers_[w].transport->send(encodeQuery(payload));
@@ -548,8 +551,9 @@ RemoteShardCoordinator::awaitReply(std::size_t w,
             continue;
         }
         // Another in-flight request's reply overtook ours
-        // (pipelining or recovery interleave): stash it.
-        worker.stash[id] = out;
+        // (pipelining or recovery interleave): stash it. The next
+        // recv() overwrites `out` whole, so the frame can move.
+        worker.stash[id] = std::move(out);
     }
 }
 
@@ -600,12 +604,13 @@ RemoteShardCoordinator::queryOnce(std::size_t w,
                                   const Shard &shard,
                                   const Vector &query,
                                   bool wantFull,
+                                  ResultDetail detail,
                                   PartialResult *partial,
                                   AttentionResult *result)
 {
     std::uint64_t requestId = 0;
     NetStatus status =
-        sendQuery(w, shard, query, wantFull, requestId);
+        sendQuery(w, shard, query, wantFull, detail, requestId);
     if (!status.ok())
         return status;
     Frame reply;
@@ -622,7 +627,7 @@ RemoteShardCoordinator::queryOnce(std::size_t w,
 
 void
 RemoteShardCoordinator::runLocal(Shard &shard, const Vector &query,
-                                 bool wantFull,
+                                 bool wantFull, ResultDetail detail,
                                  PartialResult *partial,
                                  AttentionResult *result)
 {
@@ -634,15 +639,16 @@ RemoteShardCoordinator::runLocal(Shard &shard, const Vector &query,
     }
     ++stats_.localFallbacks;
     if (wantFull)
-        shard.local->runInto(query, *result);
+        shard.local->runInto(query, *result, detail);
     else
-        shard.local->runPartialInto(query, *partial);
+        shard.local->runPartialInto(query, *partial, detail);
 }
 
 void
 RemoteShardCoordinator::recoverShard(Shard &shard,
                                      const Vector &query,
                                      bool wantFull,
+                                     ResultDetail detail,
                                      PartialResult *partial,
                                      AttentionResult *result)
 {
@@ -658,7 +664,7 @@ RemoteShardCoordinator::recoverShard(Shard &shard,
                                config_.retryBackoffMaxSeconds);
             ++stats_.retries;
             const NetStatus status =
-                queryOnce(primary, shard, query, wantFull,
+                queryOnce(primary, shard, query, wantFull, detail,
                           partial, result);
             if (status.ok())
                 return;
@@ -672,7 +678,8 @@ RemoteShardCoordinator::recoverShard(Shard &shard,
         if (!workerAlive(w))
             continue;
         ++stats_.failovers;
-        if (queryOnce(w, shard, query, wantFull, partial, result)
+        if (queryOnce(w, shard, query, wantFull, detail, partial,
+                      result)
                 .ok()) {
             // Promote the answering replica.
             std::swap(shard.replicas[0], shard.replicas[r]);
@@ -692,13 +699,14 @@ RemoteShardCoordinator::recoverShard(Shard &shard,
         ++stats_.rebinds;
         shard.replicas.assign(1, w);
         ++stats_.failovers;
-        if (queryOnce(w, shard, query, wantFull, partial, result)
+        if (queryOnce(w, shard, query, wantFull, detail, partial,
+                      result)
                 .ok())
             return;
     }
     // 5. Local execution — the ladder never fails the query.
     shard.replicas.clear();
-    runLocal(shard, query, wantFull, partial, result);
+    runLocal(shard, query, wantFull, detail, partial, result);
 }
 
 void
@@ -713,6 +721,7 @@ RemoteShardCoordinator::beginOperation()
 void
 RemoteShardCoordinator::queryAllShards(const Vector &query,
                                        bool wantFull,
+                                       ResultDetail detail,
                                        PartialResult *mergedPartial,
                                        AttentionResult *fullResult)
 {
@@ -731,7 +740,7 @@ RemoteShardCoordinator::queryAllShards(const Vector &query,
             if (!workerAlive(w))
                 continue;
             std::uint64_t requestId = 0;
-            if (sendQuery(w, shard, query, wantFull, requestId)
+            if (sendQuery(w, shard, query, wantFull, detail, requestId)
                     .ok()) {
                 if (r != 0) {
                     // The primary was gone before we even sent:
@@ -771,21 +780,19 @@ RemoteShardCoordinator::queryAllShards(const Vector &query,
             }
         }
         if (!done)
-            recoverShard(shard, query, wantFull, partial, result);
+            recoverShard(shard, query, wantFull, detail, partial,
+                         result);
     }
 
-    if (!wantFull) {
-        std::vector<std::size_t> offsets(shards_.size());
-        for (std::size_t s = 0; s < shards_.size(); ++s)
-            offsets[s] = shards_[s].offset;
-        mergeShardPartials(partials_, offsets, key_.rows(), dims_,
+    if (!wantFull)
+        mergeShardPartials(partials_, shardOffsets_, key_.rows(), dims_,
                            *mergedPartial);
-    }
 }
 
 void
 RemoteShardCoordinator::runInto(const Vector &query,
-                                AttentionResult &out) const
+                                AttentionResult &out,
+                                ResultDetail detail) const
 {
     auto *self = const_cast<RemoteShardCoordinator *>(this);
     std::lock_guard<std::mutex> lock(mu_);
@@ -794,23 +801,25 @@ RemoteShardCoordinator::runInto(const Vector &query,
     // kind, including the quantized ones whose partial roundtrip
     // is not bit-tight.
     if (shards_.size() == 1) {
-        self->queryAllShards(query, /*wantFull=*/true, nullptr,
+        self->queryAllShards(query, /*wantFull=*/true, detail, nullptr,
                              &out);
         return;
     }
     thread_local PartialResult merged;
-    self->queryAllShards(query, /*wantFull=*/false, &merged,
+    self->queryAllShards(query, /*wantFull=*/false, detail, &merged,
                          nullptr);
     finalizePartialInto(merged, out);
 }
 
 void
 RemoteShardCoordinator::runPartialInto(const Vector &query,
-                                       PartialResult &out) const
+                                       PartialResult &out,
+                                       ResultDetail detail) const
 {
     auto *self = const_cast<RemoteShardCoordinator *>(this);
     std::lock_guard<std::mutex> lock(mu_);
-    self->queryAllShards(query, /*wantFull=*/false, &out, nullptr);
+    self->queryAllShards(query, /*wantFull=*/false, detail, &out,
+                         nullptr);
 }
 
 void
@@ -853,6 +862,7 @@ RemoteShardCoordinator::append(const Matrix &keyRows,
                                       total - consumed);
             shard.generation = 1;
             consumed += shard.rowCount;
+            shardOffsets_.push_back(shard.offset);
             shards_.push_back(std::move(shard));
             ensureReplication(shards_.back(),
                               /*countRebinds=*/false);

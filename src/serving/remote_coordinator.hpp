@@ -165,10 +165,19 @@ class RemoteShardCoordinator final : public AttentionBackend
     ~RemoteShardCoordinator() override;
 
     std::string name() const override;
-    void runInto(const Vector &query,
-                 AttentionResult &out) const override;
-    void runPartialInto(const Vector &query,
-                        PartialResult &out) const override;
+
+    using AttentionBackend::runInto;
+    using AttentionBackend::runPartialInto;
+
+    /**
+     * Fan the query out and merge, asking the workers for the
+     * dense diagnostics only at ResultDetail::Full — at Output the
+     * replies carry zero-count per-row arrays.
+     */
+    void runInto(const Vector &query, AttentionResult &out,
+                 ResultDetail detail) const override;
+    void runPartialInto(const Vector &query, PartialResult &out,
+                        ResultDetail detail) const override;
     void append(const Matrix &keyRows,
                 const Matrix &valueRows) override;
     std::size_t memoryBytes() const override;
@@ -253,7 +262,7 @@ class RemoteShardCoordinator final : public AttentionBackend
 
     NetStatus sendQuery(std::size_t w, const Shard &shard,
                         const Vector &query, bool wantFull,
-                        std::uint64_t &requestId);
+                        ResultDetail detail, std::uint64_t &requestId);
     NetStatus awaitReply(std::size_t w, std::uint64_t requestId,
                          double deadlineSeconds, Frame &out);
     NetStatus decodeShardReply(const Frame &frame, bool wantFull,
@@ -262,18 +271,20 @@ class RemoteShardCoordinator final : public AttentionBackend
                                AttentionResult *result);
     NetStatus queryOnce(std::size_t w, const Shard &shard,
                         const Vector &query, bool wantFull,
-                        PartialResult *partial,
+                        ResultDetail detail, PartialResult *partial,
                         AttentionResult *result);
 
     /** The full escalation ladder for one shard; never fails. */
     void recoverShard(Shard &shard, const Vector &query,
-                      bool wantFull, PartialResult *partial,
-                      AttentionResult *result);
+                      bool wantFull, ResultDetail detail,
+                      PartialResult *partial, AttentionResult *result);
 
     void runLocal(Shard &shard, const Vector &query, bool wantFull,
-                  PartialResult *partial, AttentionResult *result);
+                  ResultDetail detail, PartialResult *partial,
+                  AttentionResult *result);
 
     void queryAllShards(const Vector &query, bool wantFull,
+                        ResultDetail detail,
                         PartialResult *mergedPartial,
                         AttentionResult *fullResult);
 
@@ -296,6 +307,9 @@ class RemoteShardCoordinator final : public AttentionBackend
     mutable std::atomic<double> deadlineHintSeconds_{0.0};
     mutable std::vector<Worker> workers_;
     mutable std::vector<Shard> shards_;
+    /** shards_[s].offset for every shard, in the form the merge
+     *  takes; changes only when append() opens a shard. */
+    std::vector<std::size_t> shardOffsets_;
     mutable std::uint64_t nextRequestId_ = 1;
     mutable std::uint64_t operationFirstId_ = 1;
     mutable RemoteCoordinatorStats stats_;

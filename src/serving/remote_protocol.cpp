@@ -8,6 +8,11 @@ namespace a3 {
 
 namespace {
 
+/** Query flags byte: the QueryPayload wantFull / wantDetail bits. */
+constexpr std::uint8_t kQueryWantFull = 1;
+constexpr std::uint8_t kQueryWantDetail = 2;
+constexpr std::uint8_t kQueryFlags = kQueryWantFull | kQueryWantDetail;
+
 NetStatus
 malformed(const char *what)
 {
@@ -186,7 +191,12 @@ encodeQuery(const QueryPayload &payload)
     w.u64(payload.requestId);
     w.u32(payload.shardId);
     w.u64(payload.generation);
-    w.u8(payload.wantFull ? 1 : 0);
+    std::uint8_t flags = 0;
+    if (payload.wantFull)
+        flags |= kQueryWantFull;
+    if (payload.wantDetail)
+        flags |= kQueryWantDetail;
+    w.u8(flags);
     w.floats(payload.query.data(), payload.query.size());
     return {FrameType::Query, w.take()};
 }
@@ -201,11 +211,12 @@ decodeQuery(const Frame &frame, QueryPayload &out)
     out.requestId = r.u64();
     out.shardId = r.u32();
     out.generation = r.u64();
-    const std::uint8_t wantFull = r.u8();
+    const std::uint8_t flags = r.u8();
     r.floats(out.query);
-    if (!r.done() || wantFull > 1 || out.query.empty())
+    if (!r.done() || (flags & ~kQueryFlags) != 0 || out.query.empty())
         return malformed("malformed query payload");
-    out.wantFull = wantFull != 0;
+    out.wantFull = (flags & kQueryWantFull) != 0;
+    out.wantDetail = (flags & kQueryWantDetail) != 0;
     return NetStatus::success();
 }
 

@@ -71,8 +71,17 @@ struct QueryPayload
      * softmax partials — the single-shard mode that mirrors
      * ShardedBackend's S = 1 runInto() delegation bit for bit
      * (the quantized kinds' partial roundtrip is not bit-tight).
+     * Bit 0 of the flags byte.
      */
     bool wantFull = false;
+
+    /**
+     * Request the dense per-row diagnostics (ResultDetail::Full).
+     * Without it the worker answers at ResultDetail::Output: the
+     * reply's per-row arrays and id lists travel with zero counts.
+     * Bit 1 of the flags byte.
+     */
+    bool wantDetail = false;
 
     Vector query;
 };

@@ -185,19 +185,24 @@ ShardWorker::handleQuery(Transport &transport, const Frame &frame)
                       std::to_string(shard.backend->dims()));
         return;
     }
+    // Without wantDetail the reply's per-row arrays stay empty and
+    // travel as zero-count arrays.
+    const ResultDetail detail =
+        query.wantDetail ? ResultDetail::Full : ResultDetail::Output;
     if (query.wantFull) {
         // Single-shard mode: the full normalized result, exactly
         // what ShardedBackend's S = 1 runInto() delegation returns.
         thread_local ResultReplyPayload reply;
         reply.requestId = query.requestId;
         reply.shardId = query.shardId;
-        shard.backend->runInto(query.query, reply.result);
+        shard.backend->runInto(query.query, reply.result, detail);
         transport.send(encodeResultReply(reply));
     } else {
         thread_local PartialReplyPayload reply;
         reply.requestId = query.requestId;
         reply.shardId = query.shardId;
-        shard.backend->runPartialInto(query.query, reply.partial);
+        shard.backend->runPartialInto(query.query, reply.partial,
+                                      detail);
         transport.send(encodePartialReply(reply));
     }
 }

@@ -100,15 +100,6 @@ ShardedBackend::shardOffset(std::size_t s) const
     return offsets_[s];
 }
 
-void
-ShardedBackend::computePartials(
-    const Vector &query, std::vector<PartialResult> &partials) const
-{
-    partials.resize(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-        shards_[s]->backend().runPartialInto(query, partials[s]);
-}
-
 std::size_t
 ShardedBackend::workUnitCount() const
 {
@@ -120,11 +111,12 @@ ShardedBackend::workUnitCount() const
 void
 ShardedBackend::runUnitPartialInto(std::size_t unit,
                                    const Vector &query,
-                                   PartialResult &out) const
+                                   PartialResult &out,
+                                   ResultDetail detail) const
 {
     a3Assert(unit < shards_.size(), "work unit ", unit, " out of ",
              shards_.size());
-    shards_[unit]->backend().runPartialInto(query, out);
+    shards_[unit]->backend().runPartialInto(query, out, detail);
 }
 
 void
@@ -138,57 +130,52 @@ ShardedBackend::mergeUnitsInto(
         finalizePartialInto(partials.front(), out);
         return;
     }
+    // The shared fixed-order log-sum-exp combine — the same code
+    // RemoteShardCoordinator merges worker partials through, which
+    // is what keeps remote results bit-identical to local ones.
     thread_local PartialResult merged;
-    mergePartials(partials, merged);
+    mergeShardPartials(partials, offsets_, rows(), dims_, merged);
     finalizePartialInto(merged, out);
 }
 
 void
-ShardedBackend::mergePartials(
-    const std::vector<PartialResult> &partials,
-    PartialResult &out) const
-{
-    // The shared fixed-order log-sum-exp combine — the same code
-    // RemoteShardCoordinator merges worker partials through, which
-    // is what keeps remote results bit-identical to local ones.
-    mergeShardPartials(partials, offsets_, rows(), dims_, out);
-}
-
-void
-ShardedBackend::runInto(const Vector &query, AttentionResult &out) const
+ShardedBackend::runInto(const Vector &query, AttentionResult &out,
+                        ResultDetail detail) const
 {
     // Degenerate single shard: the wrapped backend IS the task, so
     // delegating keeps every kind — including the quantized paths,
     // whose partial roundtrip is not bit-tight — bit-identical to an
     // unsharded backend.
     if (shards_.size() == 1) {
-        shards_.front()->backend().runInto(query, out);
+        shards_.front()->backend().runInto(query, out, detail);
         return;
     }
     thread_local PartialResult merged;
-    runPartialInto(query, merged);
+    runPartialInto(query, merged, detail);
     finalizePartialInto(merged, out);
 }
 
 void
-ShardedBackend::runPartialInto(const Vector &query,
-                               PartialResult &out) const
+ShardedBackend::runPartialInto(const Vector &query, PartialResult &out,
+                               ResultDetail detail) const
 {
     if (shards_.size() == 1) {
-        shards_.front()->backend().runPartialInto(query, out);
+        shards_.front()->backend().runPartialInto(query, out, detail);
         return;
     }
     // Per-thread partial slots keep the steady-state query path
     // allocation-free (each slot's buffers regrow only when the task
     // shape grows), while staying thread-compatible across
-    // concurrent queries: every calling thread owns its own slots,
-    // and the pool lanes only write into the caller's distinct
-    // elements. Shards are never themselves sharded (makeBackend
-    // produces only the four plain kinds), so the buffer cannot be
+    // concurrent queries: every calling thread owns its own slots.
+    // Shards are never themselves sharded (makeBackend produces
+    // only the four plain kinds), so the buffer cannot be
     // re-entered.
     thread_local std::vector<PartialResult> partials;
-    computePartials(query, partials);
-    mergePartials(partials, out);
+    partials.resize(shards_.size());
+    for (std::size_t s = 0; s < shards_.size(); ++s)
+        shards_[s]->backend().runPartialInto(query, partials[s],
+                                             detail);
+    mergeShardPartials(partials, offsets_, rows(), dims_, out);
 }
 
 void

@@ -112,15 +112,20 @@ class ShardedBackend final : public AttentionBackend
     /** "sharded(<inner name>)", e.g. "sharded(reference)". */
     std::string name() const override;
 
+    using AttentionBackend::runInto;
+    using AttentionBackend::runPartialInto;
+    using AttentionBackend::runUnitPartialInto;
+
     /**
      * Answer one query: per-shard partials computed serially on the
-     * calling thread, then the fixed-order log-sum-exp merge. With a
-     * single shard this delegates to the wrapped backend's runInto()
-     * — bit-identical by construction. Row ids in scores, weights,
-     * candidates, and kept are global; iterations sums the shards.
+     * calling thread at `detail`, then the fixed-order log-sum-exp
+     * merge. With a single shard this delegates to the wrapped
+     * backend's runInto() — bit-identical by construction. Row ids
+     * in scores, weights, candidates, and kept are global;
+     * iterations sums the shards.
      */
-    void runInto(const Vector &query,
-                 AttentionResult &out) const override;
+    void runInto(const Vector &query, AttentionResult &out,
+                 ResultDetail detail) const override;
 
     /**
      * Work-unit decomposition: one unit per shard when S > 1 (the
@@ -131,7 +136,8 @@ class ShardedBackend final : public AttentionBackend
      */
     std::size_t workUnitCount() const override;
     void runUnitPartialInto(std::size_t unit, const Vector &query,
-                            PartialResult &out) const override;
+                            PartialResult &out,
+                            ResultDetail detail) const override;
     void mergeUnitsInto(const std::vector<PartialResult> &partials,
                         AttentionResult &out) const override;
 
@@ -142,8 +148,8 @@ class ShardedBackend final : public AttentionBackend
      * partial path. Shards themselves are always the plain kinds
      * (makeBackend), never nested sharded backends.
      */
-    void runPartialInto(const Vector &query,
-                        PartialResult &out) const override;
+    void runPartialInto(const Vector &query, PartialResult &out,
+                        ResultDetail detail) const override;
 
     /**
      * Route appended rows to the mutable tail until it reaches
@@ -193,21 +199,6 @@ class ShardedBackend final : public AttentionBackend
     const ShardedConfig &config() const { return config_; }
 
   private:
-    /**
-     * Fan runPartialInto() across the shards into partials[s] slots
-     * of `partials` (resized to shardCount()), serially on the
-     * calling thread.
-     */
-    void computePartials(const Vector &query,
-                         std::vector<PartialResult> &partials) const;
-
-    /**
-     * Log-sum-exp combine of the shard partials, serially in shard
-     * order, into one global-row-id partial.
-     */
-    void mergePartials(const std::vector<PartialResult> &partials,
-                       PartialResult &out) const;
-
     /** Freeze the tail into the store and swap in the canonical
      *  handle (store-backed mode only). */
     void freezeTail();

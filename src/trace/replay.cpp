@@ -188,6 +188,9 @@ replayTrace(const Trace &trace, AttentionEngine &engine,
                            SessionStyle style) {
         SubmitOptions options;
         options.deadlineSeconds = config.schedulerDeadlineSeconds;
+        // result_hash covers the kept rows, so replay asks for the
+        // dense diagnostics.
+        options.detail = ResultDetail::Full;
         if (config.classifyByStyle)
             options.requestClass = sessionStyleName(style);
         const SessionHandle &handle = ensureBound(s);

@@ -337,11 +337,13 @@ TEST(Fairness, PartialDrainAppendInterleavingKeepsTicketOrder)
     }
     BatchScheduler scheduler(engine, cache, 3);
 
+    // The checks compare whole results, diagnostics included.
+    const SubmitOptions full{.detail = ResultDetail::Full};
     std::map<std::uint64_t, Vector> queryOf;
     const auto submit = [&](const std::string &session) {
         Vector q = randomQuery(rng, d);
         const AdmissionOutcome outcome =
-            scheduler.submit(handles.at(session), q);
+            scheduler.submit(handles.at(session), q, full);
         ASSERT_TRUE(outcome.admitted());
         queryOf.emplace(outcome.ticket, std::move(q));
     };
@@ -412,13 +414,14 @@ TEST(Fairness, BitIdenticalToSequentialUnderEveryPolicy)
                                  shape.policy);
         if (shape.weighted)
             scheduler.setSessionWeight("s1", 2);
+        const SubmitOptions full{.detail = ResultDetail::Full};
 
         std::map<std::uint64_t, std::pair<std::string, Vector>> wanted;
         for (int i = 0; i < 18; ++i) {
             const std::string session = "s" + std::to_string(i % 3);
             Vector q = randomQuery(rng, d);
             const AdmissionOutcome outcome =
-                scheduler.submit(h[i % 3], q);
+                scheduler.submit(h[i % 3], q, full);
             ASSERT_TRUE(outcome.admitted());
             wanted.emplace(outcome.ticket,
                            std::make_pair(session, std::move(q)));

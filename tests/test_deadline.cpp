@@ -141,9 +141,9 @@ TEST(Deadline, GenerousDeadlineAnswersBitIdentical)
     BatchScheduler scheduler(engine, cache);
 
     const Vector query = randomQuery(rng, d);
-    ASSERT_TRUE(scheduler
-                    .submit(handle, query, withDeadline(3600.0))
-                    .admitted());
+    SubmitOptions options = withDeadline(3600.0);
+    options.detail = ResultDetail::Full;
+    ASSERT_TRUE(scheduler.submit(handle, query, options).admitted());
     const std::vector<ServingResult> completions = scheduler.drain();
     ASSERT_EQ(completions.size(), 1u);
     ASSERT_TRUE(completions[0].ok());

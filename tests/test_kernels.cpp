@@ -18,10 +18,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "attention/backend.hpp"
@@ -30,6 +32,7 @@
 #include "fixed/packed.hpp"
 #include "kernels/kernels.hpp"
 #include "kernels/scratch.hpp"
+#include "serving/sharded_backend.hpp"
 #include "util/random.hpp"
 
 // ---------------------------------------------------------------------
@@ -687,10 +690,27 @@ TEST(ZeroAllocation, SteadyStateEngineBatch)
 
     const AttentionEngine engine(2);
     std::vector<AttentionResult> results;
-    // Warm-up: spins the pool, sizes every lane's Scratch and every
-    // result slot's buffers.
+    // Warm-up: spins the pool and sizes every result slot's buffers.
     for (int pass = 0; pass < 3; ++pass)
         engine.runInto(*backend, t.queries, results);
+    // The pool hands queries to whichever lane asks first, so a lane
+    // can sit out every warm-up pass and grow its thread-local
+    // Scratch inside the measured window. A rendezvous holds each
+    // lane until all have claimed one item, so every lane runs the
+    // query path once here (the wait is bounded, never a hang).
+    const std::size_t lanes = engine.threads();
+    std::atomic<std::size_t> arrived{0};
+    engine.pool().parallelFor(lanes, [&](std::size_t) {
+        arrived.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (arrived.load() < lanes &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        AttentionResult warm;
+        for (const Vector &q : t.queries)
+            backend->runInto(q, warm);
+    });
 
     const std::size_t before = allocationCount();
     for (int pass = 0; pass < 10; ++pass)
@@ -699,6 +719,37 @@ TEST(ZeroAllocation, SteadyStateEngineBatch)
     EXPECT_EQ(after - before, 0u)
         << (after - before) << " allocations in steady state";
     ASSERT_EQ(results.size(), t.queries.size());
+}
+
+TEST(ZeroAllocation, SteadyStateOutputQueriesOnShardedBackend)
+{
+    // Output detail on a multi-shard backend: d-length shard
+    // partials and a merge that never touches length-n arrays.
+    const TestTask t = makeTask(777, 48, 16, 4);
+    for (EngineKind kind :
+         {EngineKind::ExactFloat, EngineKind::ApproxFloat,
+          EngineKind::ExactQuantized, EngineKind::ApproxQuantized}) {
+        SCOPED_TRACE(engineKindName(kind));
+        EngineConfig cfg;
+        cfg.kind = kind;
+        const ShardedBackend backend(cfg, t.key, t.value,
+                                     ShardedConfig{16});
+        ASSERT_EQ(backend.shardCount(), 3u);
+
+        AttentionResult out;
+        for (int pass = 0; pass < 3; ++pass)
+            for (const Vector &q : t.queries)
+                backend.runInto(q, out, ResultDetail::Output);
+
+        const std::size_t before = allocationCount();
+        for (int pass = 0; pass < 10; ++pass)
+            for (const Vector &q : t.queries)
+                backend.runInto(q, out, ResultDetail::Output);
+        const std::size_t after = allocationCount();
+        EXPECT_EQ(after - before, 0u)
+            << (after - before) << " allocations in steady state";
+        EXPECT_TRUE(out.weights.empty());
+    }
 }
 
 /** Reusing one dirty result object across backends must not leak

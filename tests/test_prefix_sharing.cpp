@@ -871,15 +871,15 @@ class HintRecordingBackend final : public AttentionBackend
     }
 
     std::string name() const override { return "hint-recorder"; }
-    void runInto(const Vector &query,
-                 AttentionResult &out) const override
+    void runInto(const Vector &query, AttentionResult &out,
+                 ResultDetail detail) const override
     {
-        inner_.runInto(query, out);
+        inner_.runInto(query, out, detail);
     }
-    void runPartialInto(const Vector &query,
-                        PartialResult &out) const override
+    void runPartialInto(const Vector &query, PartialResult &out,
+                        ResultDetail detail) const override
     {
-        inner_.runPartialInto(query, out);
+        inner_.runPartialInto(query, out, detail);
     }
     void append(const Matrix &keyRows,
                 const Matrix &valueRows) override

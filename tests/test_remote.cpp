@@ -120,6 +120,27 @@ TEST(RemoteWireTest, RoundTripsEveryPrimitive)
     EXPECT_TRUE(r.done());
 }
 
+TEST(RemoteWireTest, DecodesZeroCountArrays)
+{
+    // Lean replies carry every dense array with a zero count; the
+    // reader must accept them without touching the empty vectors'
+    // (possibly null) storage.
+    WireWriter w;
+    w.floats(nullptr, 0);
+    w.u32s(nullptr, 0);
+    w.u8(7);
+    WireReader r(w.bytes());
+    std::vector<float> floats;
+    std::vector<std::uint32_t> ids{3};
+    r.floats(floats);
+    r.u32s(ids);
+    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(floats.empty());
+    EXPECT_TRUE(ids.empty());
+    EXPECT_EQ(r.u8(), 7u);
+    EXPECT_TRUE(r.done());
+}
+
 TEST(RemoteWireTest, OverrunLatchesFailure)
 {
     WireWriter w;
@@ -489,6 +510,7 @@ TEST_F(RemoteWorkerTest, BindsAndAnswersBitIdenticalPartials)
     QueryPayload q;
     q.requestId = 1;
     q.generation = 1;
+    q.wantDetail = true;
     q.query = query;
     ASSERT_TRUE(roundTrip(encodeQuery(q), reply).ok());
     PartialReplyPayload partial;
@@ -936,6 +958,7 @@ TEST(RemoteFaultToleranceTest, SchedulerDrainSurvivesFailover)
     BatchScheduler scheduler(engine, cache);
     cache.insert("remote", remote);
     const SessionHandle handle = cache.lookupSession("remote");
+    const SubmitOptions full{.detail = ResultDetail::Full};
 
     std::vector<std::uint64_t> tickets;
     std::vector<Vector> queries;
@@ -943,7 +966,7 @@ TEST(RemoteFaultToleranceTest, SchedulerDrainSurvivesFailover)
         for (int i = 0; i < count; ++i) {
             Vector q = randomQuery(rng, d);
             const AdmissionOutcome outcome =
-                scheduler.submit(handle, q);
+                scheduler.submit(handle, q, full);
             ASSERT_TRUE(outcome.admitted());
             tickets.push_back(outcome.ticket);
             queries.push_back(std::move(q));

@@ -336,7 +336,8 @@ TEST(BatchScheduler, TicketOrderedBitIdenticalCompletions)
         const std::string &session = sessions[round % sessions.size()];
         Vector q = randomQuery(rng, d);
         const AdmissionOutcome outcome =
-            scheduler.submit(handles[round % sessions.size()], q);
+            scheduler.submit(handles[round % sessions.size()], q,
+                             {.detail = ResultDetail::Full});
         ASSERT_TRUE(outcome.admitted());
         submitted.push_back({outcome.ticket, session, std::move(q)});
     }
@@ -367,7 +368,8 @@ TEST(BatchScheduler, TicketOrderedBitIdenticalCompletions)
         const std::string &session = sessions[round % 2];  // alpha/beta
         Vector q = randomQuery(rng, d);
         const AdmissionOutcome outcome =
-            scheduler.submit(handles[round % 2], q);
+            scheduler.submit(handles[round % 2], q,
+                             {.detail = ResultDetail::Full});
         ASSERT_TRUE(outcome.admitted());
         wave2.push_back({outcome.ticket, session, std::move(q)});
     }
@@ -511,14 +513,16 @@ TEST(BatchScheduler, UnboundSessionCompletesWithTypedError)
     EXPECT_EQ(ghost.backend(), nullptr);  // the old handle is stale
     std::vector<std::uint64_t> retryTickets;
     for (const Vector &q : ghostQueries) {
-        const AdmissionOutcome outcome = scheduler.submit(rebound, q);
+        const AdmissionOutcome outcome = scheduler.submit(
+            rebound, q, {.detail = ResultDetail::Full});
         ASSERT_TRUE(outcome.admitted());
         retryTickets.push_back(outcome.ticket);
     }
     // drain() resolves sessions by id, so a query through the stale
     // handle is answered by the current binding.
     const AdmissionOutcome viaStale =
-        scheduler.submit(ghost, ghostQueries.front());
+        scheduler.submit(ghost, ghostQueries.front(),
+                         {.detail = ResultDetail::Full});
     ASSERT_TRUE(viaStale.admitted());
     retryTickets.push_back(viaStale.ticket);
     const auto retried = scheduler.drain();

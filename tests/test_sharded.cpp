@@ -509,13 +509,14 @@ TEST(ShardedBackend, ServesThroughSessionCacheAndScheduler)
                                    sharding));
     EXPECT_EQ(cache.bytesInUse(), backend->memoryBytes());
     const SessionHandle handle = cache.lookupSession("huge");
+    const SubmitOptions full{.detail = ResultDetail::Full};
 
     std::vector<Vector> queries;
     std::vector<std::uint64_t> tickets;
     for (int i = 0; i < 6; ++i) {
         queries.push_back(randomQuery(rng, d));
         tickets.push_back(
-            scheduler.submit(handle, queries.back()).ticket);
+            scheduler.submit(handle, queries.back(), full).ticket);
     }
     const std::vector<ServingResult> completions = scheduler.drain();
     ASSERT_EQ(completions.size(), queries.size());
