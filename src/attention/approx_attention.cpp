@@ -178,18 +178,13 @@ ApproxAttention::candidateRowsInto(const Vector &query,
     return iterations;
 }
 
-/**
- * Stages 1-3 shared by runInto() and runPartialInto(): candidate
- * selection into scratch.rowIds, candidate dot products into
- * scratch.candScores, post-scoring survivors into scratch.kept.
- * Returns the greedy iterations executed.
- */
-std::size_t
-ApproxAttention::selectKeptInto(const Vector &query,
-                                Scratch &scratch) const
+SoftmaxTerms
+ApproxAttention::runTermsInto(const Vector &query, AttentionResult &out,
+                              ResultDetail detail) const
 {
     a3Assert(query.size() == key_.cols(), "query dimension mismatch");
     const Kernels &k = activeKernels();
+    Scratch &scratch = Scratch::forThread();
 
     // Stage 1: candidate selection.
     const std::size_t iterations = candidateRowsInto(query, scratch);
@@ -209,49 +204,38 @@ ApproxAttention::selectKeptInto(const Vector &query,
         scratch.kept.assign(scratch.rowIds.begin(),
                             scratch.rowIds.end());
     }
-    return iterations;
-}
-
-void
-ApproxAttention::runInto(const Vector &query, AttentionResult &out,
-                         ResultDetail detail) const
-{
-    Scratch &scratch = Scratch::forThread();
-    const std::size_t iterations = selectKeptInto(query, scratch);
 
     // Stages 4-5: softmax and weighted sum over the kept rows.
-    subsetAttentionInto(key_, value_, query, scratch.kept, out,
-                        scratch, detail);
+    const SoftmaxTerms terms = subsetAttentionInto(
+        key_, value_, query, scratch.kept, out, scratch, detail);
     out.iterations = iterations;
     if (detail == ResultDetail::Full) {
         out.candidates.assign(scratch.rowIds.begin(),
                               scratch.rowIds.end());
         // subsetAttentionInto() only filled scores for kept rows;
         // also record the candidate scores post-scoring inspected.
-        for (std::size_t i = 0; i < scratch.rowIds.size(); ++i)
+        for (std::size_t i = 0; i < count; ++i)
             out.scores[scratch.rowIds[i]] = scratch.candScores[i];
     }
+    return terms;
 }
 
 void
-ApproxAttention::runPartialInto(const Vector &query,
-                                PartialResult &out,
-                                ResultDetail detail) const
+ApproxAttention::runInto(const Vector &query, AttentionResult &out,
+                         ResultDetail detail) const
 {
-    Scratch &scratch = Scratch::forThread();
-    const std::size_t iterations = selectKeptInto(query, scratch);
+    runTermsInto(query, out, detail);
+}
 
-    // Stages 4-5, stopped before normalization: the log-sum-exp terms
-    // over the kept rows are what a shard merge combines.
-    subsetAttentionPartialInto(key_, value_, query, scratch.kept, out,
-                               scratch, detail);
-    out.iterations = iterations;
-    if (detail == ResultDetail::Full) {
-        out.candidates.assign(scratch.rowIds.begin(),
-                              scratch.rowIds.end());
-        for (std::size_t i = 0; i < scratch.rowIds.size(); ++i)
-            out.scores[scratch.rowIds[i]] = scratch.candScores[i];
-    }
+void
+ApproxAttention::runUnitPartialInto(std::size_t unit,
+                                    const Vector &query,
+                                    PartialResult &out,
+                                    ResultDetail detail) const
+{
+    a3Assert(unit == 0, "single-unit backend asked for unit ", unit);
+    static_cast<SoftmaxTerms &>(out) =
+        runTermsInto(query, out, detail);
 }
 
 }  // namespace a3

@@ -39,24 +39,22 @@ class ApproxAttention final : public AttentionBackend
      */
     ApproxAttention(Matrix key, Matrix value, ApproxConfig config);
 
-    using AttentionBackend::runInto;
-    using AttentionBackend::runPartialInto;
-
     /** Answer one query (allocation-free; see AttentionBackend). */
-    void runInto(const Vector &query, AttentionResult &out,
-                 ResultDetail detail) const override;
+    void runInto(
+        const Vector &query, AttentionResult &out,
+        ResultDetail detail = ResultDetail::Full) const override;
 
     /**
-     * Native partial path: stages 1-3 (selection and post-scoring)
-     * run exactly as in runInto(), then the softmax terms over the
-     * kept rows are left unnormalized for a log-sum-exp shard merge.
-     * Note the approximation is shard-local — a sharded approx
-     * backend selects candidates within each shard, so its merged
-     * result is accuracy-bounded against the unsharded flow rather
-     * than bit-tight (the greedy search sees different competitors).
+     * Native unit partial: runInto()'s answer plus the log-sum-exp
+     * terms of its softmax over the kept rows. Note the
+     * approximation is shard-local — a sharded approx backend
+     * selects candidates within each shard, so its merged result is
+     * accuracy-bounded against the unsharded flow rather than
+     * bit-tight (the greedy search sees different competitors).
      */
-    void runPartialInto(const Vector &query, PartialResult &out,
-                        ResultDetail detail) const override;
+    void runUnitPartialInto(
+        std::size_t unit, const Vector &query, PartialResult &out,
+        ResultDetail detail = ResultDetail::Full) const override;
 
     /**
      * Incremental task extension: the new rows are merged into the
@@ -117,13 +115,12 @@ class ApproxAttention final : public AttentionBackend
     ApproxAttention() = default;
 
     /**
-     * Stages 1-3 (selection, candidate scoring, post-scoring) shared
-     * by runInto() and runPartialInto(): fills scratch.rowIds,
-     * scratch.candScores, and scratch.kept; returns the greedy
-     * iterations executed.
+     * The five stages (selection, candidate scoring, post-scoring,
+     * softmax, weighted sum) behind runInto() and
+     * runUnitPartialInto(); returns the softmax's log-sum-exp terms.
      */
-    std::size_t selectKeptInto(const Vector &query,
-                               Scratch &scratch) const;
+    SoftmaxTerms runTermsInto(const Vector &query, AttentionResult &out,
+                              ResultDetail detail) const;
 
     Matrix key_;
     Matrix value_;

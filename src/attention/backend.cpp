@@ -1,5 +1,6 @@
 #include "attention/backend.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -10,7 +11,6 @@
 #include "attention/quantized.hpp"
 #include "attention/reference.hpp"
 #include "attention/serialize.hpp"
-#include "kernels/kernels.hpp"
 #include "kernels/scratch.hpp"
 #include "net/wire.hpp"
 #include "util/logging.hpp"
@@ -34,74 +34,39 @@ engineKindName(EngineKind kind)
 }
 
 void
-finalizePartialInto(const PartialResult &partial, AttentionResult &result)
+AttentionBackend::runUnitPartialInto(std::size_t unit,
+                                     const Vector &query,
+                                     PartialResult &out,
+                                     ResultDetail detail) const
 {
-    const Kernels &k = activeKernels();
-    result.scores = partial.scores;
-    result.candidates = partial.candidates;
-    result.kept = partial.kept;
-    result.iterations = partial.iterations;
-    // 0 / expSum stays exactly 0, so dividing the full scattered
-    // arrays applies the same per-element IEEE division the m-length
-    // softmax workspace saw — weights of kept rows are bit-identical
-    // either way.
-    result.weights = partial.expWeights;
-    k.divideBy(result.weights.data(), result.weights.size(),
-               partial.expSum);
-    result.output = partial.accum;
-    k.divideBy(result.output.data(), result.output.size(),
-               partial.expSum);
-}
-
-void
-AttentionBackend::runPartialInto(const Vector &query,
-                                 PartialResult &out,
-                                 ResultDetail detail) const
-{
-    // Derived fallback for backends without a native partial path
-    // (the quantized kinds): run the full local pipeline — the kept
-    // scores are needed at either detail — then recompute the
-    // log-sum-exp terms in float from them and scale the normalized
-    // weights/output back up by expSum. The backend's own weighting
-    // survives the roundtrip up to ULPs.
+    // Derived terms for backends without a native partial path (the
+    // quantized kinds): run the full local pipeline — the kept scores
+    // are needed at either detail — and recompute the log-sum-exp
+    // terms in float from them. The answer itself is the pipeline's
+    // own, so it merges back to runInto() exactly. The Full run goes
+    // to a per-thread result so a lean `out` (often a fresh engine
+    // slot) never grows the n-length arrays.
+    a3Assert(unit == 0, "single-unit backend asked for unit ", unit);
     thread_local AttentionResult local;
     runInto(query, local, ResultDetail::Full);
-
     float maxScore = -std::numeric_limits<float>::infinity();
     for (const std::uint32_t r : local.kept)
         maxScore = std::max(maxScore, local.scores[r]);
     float expSum = 0.0f;
     for (const std::uint32_t r : local.kept)
         expSum += std::exp(local.scores[r] - maxScore);
-
-    const Kernels &k = activeKernels();
-    if (detail == ResultDetail::Full) {
-        out.scores = local.scores;
-        out.candidates = local.candidates;
-        out.kept = local.kept;
-        out.expWeights = local.weights;
-        k.scale(out.expWeights.data(), out.expWeights.size(), expSum);
-    } else {
-        out.scores.clear();
-        out.candidates.clear();
-        out.kept.clear();
-        out.expWeights.clear();
-    }
-    out.iterations = local.iterations;
-    out.accum = local.output;
-    k.scale(out.accum.data(), out.accum.size(), expSum);
     out.maxScore = maxScore;
     out.expSum = expSum;
-}
-
-void
-AttentionBackend::runUnitPartialInto(std::size_t unit,
-                                     const Vector &query,
-                                     PartialResult &out,
-                                     ResultDetail detail) const
-{
-    a3Assert(unit == 0, "single-unit backend asked for unit ", unit);
-    runPartialInto(query, out, detail);
+    if (detail == ResultDetail::Full) {
+        static_cast<AttentionResult &>(out) = local;
+        return;
+    }
+    out.output = local.output;
+    out.iterations = local.iterations;
+    out.weights.clear();
+    out.scores.clear();
+    out.candidates.clear();
+    out.kept.clear();
 }
 
 void
@@ -112,7 +77,7 @@ AttentionBackend::mergeUnitsInto(
     a3Assert(partials.size() == 1,
              "single-unit backend asked to merge ", partials.size(),
              " partials");
-    finalizePartialInto(partials.front(), out);
+    out = partials.front();
 }
 
 std::unique_ptr<AttentionBackend>
@@ -139,27 +104,38 @@ ReferenceAttention::ReferenceAttention(Matrix key, Matrix value)
     Scratch::forThread().reserveTask(key_.rows(), key_.cols());
 }
 
+namespace {
+
+/** Exact attention over every row of the task. */
+SoftmaxTerms
+allRowsInto(const Matrix &key, const Matrix &value, const Vector &query,
+            AttentionResult &out, ResultDetail detail)
+{
+    Scratch &scratch = Scratch::forThread();
+    scratch.rowIds.resize(key.rows());
+    std::iota(scratch.rowIds.begin(), scratch.rowIds.end(), 0u);
+    return subsetAttentionInto(key, value, query, scratch.rowIds, out,
+                               scratch, detail);
+}
+
+}  // namespace
+
 void
 ReferenceAttention::runInto(const Vector &query, AttentionResult &out,
                             ResultDetail detail) const
 {
-    Scratch &scratch = Scratch::forThread();
-    scratch.rowIds.resize(key_.rows());
-    std::iota(scratch.rowIds.begin(), scratch.rowIds.end(), 0u);
-    subsetAttentionInto(key_, value_, query, scratch.rowIds, out,
-                        scratch, detail);
+    allRowsInto(key_, value_, query, out, detail);
 }
 
 void
-ReferenceAttention::runPartialInto(const Vector &query,
-                                   PartialResult &out,
-                                   ResultDetail detail) const
+ReferenceAttention::runUnitPartialInto(std::size_t unit,
+                                       const Vector &query,
+                                       PartialResult &out,
+                                       ResultDetail detail) const
 {
-    Scratch &scratch = Scratch::forThread();
-    scratch.rowIds.resize(key_.rows());
-    std::iota(scratch.rowIds.begin(), scratch.rowIds.end(), 0u);
-    subsetAttentionPartialInto(key_, value_, query, scratch.rowIds,
-                               out, scratch, detail);
+    a3Assert(unit == 0, "single-unit backend asked for unit ", unit);
+    static_cast<SoftmaxTerms &>(out) =
+        allRowsInto(key_, value_, query, out, detail);
 }
 
 void
@@ -344,41 +320,66 @@ ApproxQuantizedAttention::runInto(const Vector &query,
     out.iterations = iterations;
 }
 
-namespace {
-
-/**
- * Quantized kinds only: reject bit widths before they reach the
- * datapath. An input word carries intBits + fracBits + 1 bits (sign
- * included) and is stored in the backend's int32 SRAM lanes, so
- * anything wider than 32 would silently truncate downstream.
- */
-void
-validateQuantizedBits(const EngineConfig &config)
+std::string
+validateEngineConfig(const EngineConfig &config)
 {
-    if (config.intBits <= 0 || config.fracBits <= 0) {
-        fatal("EngineConfig: intBits and fracBits must be positive, "
-              "got intBits=", config.intBits, " fracBits=",
-              config.fracBits);
+    const EngineKind kind = config.kind;
+    if (kind == EngineKind::ApproxFloat ||
+        kind == EngineKind::ApproxQuantized) {
+        // Negated comparisons so a NaN knob is rejected too.
+        const ApproxConfig &approx = config.approx;
+        if (approx.candidateSelection && approx.mAbsolute == 0 &&
+            !(approx.mFraction > 0.0))
+            return detail::concat(
+                "approx.mFraction must be positive when candidate "
+                "selection uses it, got ", approx.mFraction);
+        if (approx.postScoring && !(approx.thresholdPercent > 0.0))
+            return detail::concat(
+                "approx.thresholdPercent must be positive with "
+                "post-scoring on, got ", approx.thresholdPercent);
     }
-    const int total = config.intBits + config.fracBits + 1;
-    if (total > 32) {
-        fatal("EngineConfig: input word needs intBits + fracBits + 1 = ",
-              total, " bits, exceeding the 32-bit lane budget "
-              "(intBits=", config.intBits, ", fracBits=",
-              config.fracBits, ")");
-    }
+    if (kind != EngineKind::ExactQuantized &&
+        kind != EngineKind::ApproxQuantized)
+        return "";
+
+    // An input word carries intBits + fracBits + 1 bits (sign
+    // included) and is stored in the backend's int32 SRAM lanes, so
+    // anything wider than 32 would silently truncate downstream.
+    if (config.intBits <= 0 || config.fracBits <= 0)
+        return detail::concat(
+            "intBits and fracBits must be positive, got intBits=",
+            config.intBits, " fracBits=", config.fracBits);
+    // Widened: widths off the wire can be near INT_MAX.
+    const long long total =
+        static_cast<long long>(config.intBits) + config.fracBits + 1;
+    if (total > 32)
+        return detail::concat(
+            "input word needs intBits + fracBits + 1 = ", total,
+            " bits, exceeding the 32-bit lane budget (intBits=",
+            config.intBits, ", fracBits=", config.fracBits, ")");
     // Mirror of the lane-budget check for the packed layouts: an
     // explicit narrow lane must still hold the input word losslessly.
     const int lane = packedKvLaneBits(config.packedKv);
-    if (lane != 0 && total > lane) {
-        fatal("EngineConfig: input word needs intBits + fracBits + 1 = ",
-              total, " bits, exceeding the ", lane,
-              "-bit packed K/V lane (packedKv=",
-              packedKvFormatName(config.packedKv), ", intBits=",
-              config.intBits, ", fracBits=", config.fracBits,
-              "); packing is lossless — widen the lane or narrow the "
-              "format");
-    }
+    if (lane != 0 && total > lane)
+        return detail::concat(
+            "input word needs intBits + fracBits + 1 = ", total,
+            " bits, exceeding the ", lane,
+            "-bit packed K/V lane (packedKv=",
+            packedKvFormatName(config.packedKv), ", intBits=",
+            config.intBits, ", fracBits=", config.fracBits,
+            "); packing is lossless — widen the lane or narrow the "
+            "format");
+    return "";
+}
+
+namespace {
+
+void
+requireValidConfig(const EngineConfig &config)
+{
+    const std::string error = validateEngineConfig(config);
+    if (!error.empty())
+        fatal("EngineConfig: ", error);
 }
 
 }  // namespace
@@ -386,10 +387,7 @@ validateQuantizedBits(const EngineConfig &config)
 std::unique_ptr<AttentionBackend>
 makeBackend(const EngineConfig &config, Matrix key, Matrix value)
 {
-    if (config.kind == EngineKind::ExactQuantized ||
-        config.kind == EngineKind::ApproxQuantized) {
-        validateQuantizedBits(config);
-    }
+    requireValidConfig(config);
     switch (config.kind) {
       case EngineKind::ExactFloat:
         return std::make_unique<ReferenceAttention>(std::move(key),
@@ -412,10 +410,7 @@ makeBackend(const EngineConfig &config, Matrix key, Matrix value)
 std::unique_ptr<AttentionBackend>
 deserializeBackend(const EngineConfig &config, WireReader &in)
 {
-    if (config.kind == EngineKind::ExactQuantized ||
-        config.kind == EngineKind::ApproxQuantized) {
-        validateQuantizedBits(config);
-    }
+    requireValidConfig(config);
     switch (config.kind) {
       case EngineKind::ExactFloat:
         return ReferenceAttention::restore(in);

@@ -54,10 +54,17 @@ class WireReader;
  * steady-state runInto() — same thread, reused result object —
  * performs zero heap allocations.
  *
- * The entry points that produce a result take a ResultDetail. The
- * virtual hooks are the three-argument forms; the two-argument
- * forms are non-virtual shorthands for Full, so derived classes
- * re-export them with `using AttentionBackend::runInto;` etc.
+ * The entry points that produce a result take a ResultDetail that
+ * defaults to Full; every override restates the same default, so a
+ * call without one means Full through any static type.
+ *
+ * The unit contract — runInto() / workUnitCount() /
+ * runUnitPartialInto() / mergeUnitsInto() — is the one way results
+ * are produced: a query decomposes into workUnitCount() units, each
+ * unit answers with a PartialResult (a normalized answer plus its
+ * log-sum-exp terms), and mergeUnitsInto() combines them. A plain
+ * backend is one unit whose partial merges to exactly its runInto()
+ * answer.
  */
 class AttentionBackend
 {
@@ -76,13 +83,6 @@ class AttentionBackend
         return out;
     }
 
-    /** runInto() at ResultDetail::Full. */
-    void
-    runInto(const Vector &query, AttentionResult &out) const
-    {
-        runInto(query, out, ResultDetail::Full);
-    }
-
     /**
      * Answer one query, writing the fields `detail` asks for: every
      * field at Full; only output and iterations at Output, with the
@@ -91,36 +91,9 @@ class AttentionBackend
      * buffers: after the first call at a given task size, no field
      * reallocates.
      */
-    virtual void runInto(const Vector &query, AttentionResult &out,
-                         ResultDetail detail) const = 0;
-
-    /** runPartialInto() at ResultDetail::Full. */
-    void
-    runPartialInto(const Vector &query, PartialResult &out) const
-    {
-        runPartialInto(query, out, ResultDetail::Full);
-    }
-
-    /**
-     * Answer one query with softmax partials instead of a normalized
-     * result — the shard-local half of the distributed-softmax
-     * decomposition (see PartialResult for the math). Like runInto()
-     * this is const, thread-compatible, reuses `out`'s buffers, and
-     * at Output fills only accum, maxScore, expSum and iterations.
-     *
-     * The float backends override this with a native partial path
-     * whose finalizePartialInto() is bit-identical to runInto(). The
-     * base implementation derives the partials from a Full runInto():
-     * the log-sum-exp terms are recomputed in float from the kept
-     * scores and the normalized weights/output are scaled back up by
-     * expSum, which preserves the backend's own weighting (the
-     * quantized kinds' truncating divider) at the cost of a ULP-level
-     * roundtrip — sharded quantized results are accuracy-bounded, not
-     * bit-tight.
-     */
-    virtual void runPartialInto(const Vector &query,
-                                PartialResult &out,
-                                ResultDetail detail) const;
+    virtual void runInto(
+        const Vector &query, AttentionResult &out,
+        ResultDetail detail = ResultDetail::Full) const = 0;
 
     /**
      * Number of independent work units one query against this
@@ -132,38 +105,36 @@ class AttentionBackend
      */
     virtual std::size_t workUnitCount() const { return 1; }
 
-    /** runUnitPartialInto() at ResultDetail::Full. */
-    void
-    runUnitPartialInto(std::size_t unit, const Vector &query,
-                       PartialResult &out) const
-    {
-        runUnitPartialInto(unit, query, out, ResultDetail::Full);
-    }
-
     /**
      * Compute work unit `unit` of one query at `detail`: the unit's
-     * softmax partial, ready for mergeUnitsInto(). Like runInto()
-     * this is const, thread-compatible, and reuses `out`'s buffers;
-     * distinct units of one query may run on different threads
-     * concurrently. The base implementation serves single-unit
-     * backends by forwarding to runPartialInto().
+     * normalized answer — for a plain backend exactly what
+     * runInto() writes — plus the maxScore / expSum terms
+     * mergeUnitsInto() weights it by (see PartialResult). Like
+     * runInto() this is const, thread-compatible, and reuses
+     * `out`'s buffers; distinct units of one query may run on
+     * different threads concurrently.
+     *
+     * The float backends override this with a native path that
+     * reports the terms of the softmax they computed. The base
+     * implementation serves the quantized kinds: a Full runInto()
+     * (the kept scores are needed at either detail), then m and Z
+     * recomputed in float from the kept scores. The answer itself
+     * is the pipeline's own, so the truncating divider's weighting
+     * survives untouched.
      */
-    virtual void runUnitPartialInto(std::size_t unit,
-                                    const Vector &query,
-                                    PartialResult &out,
-                                    ResultDetail detail) const;
+    virtual void runUnitPartialInto(
+        std::size_t unit, const Vector &query, PartialResult &out,
+        ResultDetail detail = ResultDetail::Full) const;
 
     /**
      * Combine one query's per-unit partials (partials[u] from
      * runUnitPartialInto(u, ...)) into the final result. Always
      * executed serially in unit order by exactly one thread, so a
      * fixed-order log-sum-exp merge here preserves the bit-identity
-     * guarantees of the serial path. The engine only takes this
-     * route when workUnitCount() > 1 — single-unit backends keep
-     * their exact runInto() path (required for the quantized kinds,
-     * whose partial roundtrip is ULP-bounded, not bit-tight). The
-     * result carries what the partials carry (see
-     * finalizePartialInto()).
+     * guarantees of the serial path. The result carries what the
+     * partials carry: a lean partial merges into a lean result. The
+     * base implementation serves single-unit backends, whose one
+     * partial is copied.
      */
     virtual void mergeUnitsInto(const std::vector<PartialResult> &partials,
                                 AttentionResult &out) const;
@@ -263,30 +234,24 @@ enum class EngineKind {
 /** Stable name of an engine kind ("exact-float", ...). */
 const char *engineKindName(EngineKind kind);
 
-/**
- * Normalize one shard's partials into an AttentionResult: weights
- * and output are the partial's expWeights/accum divided by expSum;
- * scores, candidates, kept, and iterations carry over. A lean
- * (Output-detail) partial yields a lean result. For the float
- * backends runInto() is exactly runPartialInto() + this call, at
- * either detail.
- */
-void finalizePartialInto(const PartialResult &partial,
-                         AttentionResult &result);
-
 /** Engine selection plus its knobs. */
 struct EngineConfig
 {
     EngineKind kind = EngineKind::ExactFloat;
 
-    /** Approximation knobs (Approx kinds only). */
+    /**
+     * Approximation knobs (Approx kinds only). validateEngineConfig()
+     * rejects a non-positive or NaN mFraction that would be used
+     * (selection on, mAbsolute 0) and a non-positive or NaN
+     * thresholdPercent with post-scoring on.
+     */
     ApproxConfig approx = ApproxConfig::conservative();
 
     /**
-     * Input quantization (Quantized kinds only). makeBackend()
-     * rejects non-positive widths and totals whose input word
-     * (intBits + fracBits + 1 sign bit) exceeds the backend's 32-bit
-     * SRAM lanes.
+     * Input quantization (Quantized kinds only).
+     * validateEngineConfig() rejects non-positive widths and totals
+     * whose input word (intBits + fracBits + 1 sign bit) exceeds the
+     * backend's 32-bit SRAM lanes.
      */
     int intBits = 4;
     int fracBits = 4;
@@ -295,12 +260,21 @@ struct EngineConfig
      * K/V lane layout of the quantized kinds (see fixed/packed.hpp).
      * Auto packs to the narrowest lossless lane for (intBits,
      * fracBits); results are bit-identical across layouts, only
-     * footprint and kernel path change. makeBackend() rejects an
-     * explicit Int8/Int4 whose input word exceeds the lane width,
-     * mirroring the 32-bit lane-budget check.
+     * footprint and kernel path change. validateEngineConfig()
+     * rejects an explicit Int8/Int4 whose input word exceeds the
+     * lane width, mirroring the 32-bit lane-budget check.
      */
     PackedKvFormat packedKv = PackedKvFormat::Auto;
 };
+
+/**
+ * Why `config` cannot build a backend, or "" when it can: the one
+ * check makeBackend() and deserializeBackend() fatal() on and the
+ * shard worker answers with an ErrorReply, so a config from the
+ * wire, the disk or a caller never reaches an assert. Only the
+ * fields the kind uses are checked.
+ */
+std::string validateEngineConfig(const EngineConfig &config);
 
 /**
  * Exact floating-point backend: softmax(K q)^T V over all rows, the
@@ -313,12 +287,12 @@ class ReferenceAttention final : public AttentionBackend
     ReferenceAttention(Matrix key, Matrix value);
 
     std::string name() const override { return "reference"; }
-    using AttentionBackend::runInto;
-    using AttentionBackend::runPartialInto;
-    void runInto(const Vector &query, AttentionResult &out,
-                 ResultDetail detail) const override;
-    void runPartialInto(const Vector &query, PartialResult &out,
-                        ResultDetail detail) const override;
+    void runInto(
+        const Vector &query, AttentionResult &out,
+        ResultDetail detail = ResultDetail::Full) const override;
+    void runUnitPartialInto(
+        std::size_t unit, const Vector &query, PartialResult &out,
+        ResultDetail detail = ResultDetail::Full) const override;
     void append(const Matrix &keyRows,
                 const Matrix &valueRows) override;
     std::size_t memoryBytes() const override;
@@ -363,9 +337,9 @@ class ApproxQuantizedAttention final : public AttentionBackend
     ~ApproxQuantizedAttention() override;
 
     std::string name() const override { return "approx-quantized"; }
-    using AttentionBackend::runInto;
-    void runInto(const Vector &query, AttentionResult &out,
-                 ResultDetail detail) const override;
+    void runInto(
+        const Vector &query, AttentionResult &out,
+        ResultDetail detail = ResultDetail::Full) const override;
     void append(const Matrix &keyRows,
                 const Matrix &valueRows) override;
     std::size_t memoryBytes() const override;
@@ -398,7 +372,8 @@ class ApproxQuantizedAttention final : public AttentionBackend
 /**
  * Build the backend `config` describes, bound to (key, value). The
  * quantized kinds size their datapath exactly for the task, as the
- * accuracy harness always did.
+ * accuracy harness always did. fatal()s on a config
+ * validateEngineConfig() rejects.
  */
 std::unique_ptr<AttentionBackend> makeBackend(const EngineConfig &config,
                                               Matrix key, Matrix value);

@@ -15,9 +15,11 @@ ApproxConfig::iterationsFor(std::size_t n) const
     if (mAbsolute > 0)
         return std::min(mAbsolute, n);
     a3Assert(mFraction > 0.0, "mFraction must be positive");
-    const auto m = static_cast<std::size_t>(
-        mFraction * static_cast<double>(n));
-    return std::clamp<std::size_t>(m, 1, n);
+    // Clamp in double: a fraction whose product overflows size_t
+    // would make the cast undefined.
+    const double m = std::clamp(mFraction * static_cast<double>(n),
+                                1.0, static_cast<double>(n));
+    return static_cast<std::size_t>(m);
 }
 
 double

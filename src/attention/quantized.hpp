@@ -62,11 +62,11 @@ class QuantizedAttention final : public AttentionBackend
                        PackedKvFormat packedKv = PackedKvFormat::Auto);
 
     using AttentionBackend::run;
-    using AttentionBackend::runInto;
 
     /** Answer one query against the bound task (bound mode only). */
-    void runInto(const Vector &query, AttentionResult &out,
-                 ResultDetail detail) const override;
+    void runInto(
+        const Vector &query, AttentionResult &out,
+        ResultDetail detail = ResultDetail::Full) const override;
 
     /**
      * Incremental task extension (bound mode only): only the appended

@@ -45,26 +45,12 @@ subsetAttention(const Matrix &key, const Matrix &value,
     return result;
 }
 
-namespace {
-
-/**
- * Shared unnormalized core: scores, exp weights u_i = exp(s_i - max),
- * their sum, and the accumulation sum u_i * v_i, written straight
- * into caller-owned buffers — PartialResult fields on the partial
- * path, AttentionResult fields on the exact path (which then
- * normalizes in place, avoiding any staging copy). At Output the
- * dense per-row fields are cleared and never scattered into; the
- * m-length workspace and the accumulation are the same either way.
- */
-void
-subsetPartialCore(const Matrix &key, const Matrix &value,
-                  const Vector &query,
-                  std::span<const std::uint32_t> rows, Vector &scores,
-                  Vector &expWeights,
-                  std::vector<std::uint32_t> &candidates,
-                  std::vector<std::uint32_t> &kept, Vector &accum,
-                  float &maxScore, float &expSum, Scratch &scratch,
-                  ResultDetail detail)
+SoftmaxTerms
+subsetAttentionInto(const Matrix &key, const Matrix &value,
+                    const Vector &query,
+                    std::span<const std::uint32_t> rows,
+                    AttentionResult &result, Scratch &scratch,
+                    ResultDetail detail)
 {
     a3Assert(key.rows() == value.rows() && key.cols() == value.cols(),
              "key/value shape mismatch");
@@ -80,16 +66,17 @@ subsetPartialCore(const Matrix &key, const Matrix &value,
     const Kernels &k = activeKernels();
     const bool full = detail == ResultDetail::Full;
     if (full) {
-        scores.assign(n, 0.0f);
-        expWeights.assign(n, 0.0f);
-        candidates.assign(rows.begin(), rows.end());
-        kept.assign(rows.begin(), rows.end());
+        result.scores.assign(n, 0.0f);
+        result.weights.assign(n, 0.0f);
+        result.candidates.assign(rows.begin(), rows.end());
+        result.kept.assign(rows.begin(), rows.end());
     } else {
-        scores.clear();
-        expWeights.clear();
-        candidates.clear();
-        kept.clear();
+        result.scores.clear();
+        result.weights.clear();
+        result.candidates.clear();
+        result.kept.clear();
     }
+    result.iterations = 0;
 
     // Step 1: dot products for the selected rows only.
     scratch.sub.resize(m);
@@ -97,58 +84,30 @@ subsetPartialCore(const Matrix &key, const Matrix &value,
                 scratch.sub.data());
     if (full)
         for (std::size_t i = 0; i < m; ++i)
-            scores[rows[i]] = scratch.sub[i];
+            result.scores[rows[i]] = scratch.sub[i];
 
-    // Step 2: unnormalized softmax terms over the subset.
-    maxScore = k.maxReduce(scratch.sub.data(), m);
-    expSum = k.expSumInPlace(scratch.sub.data(), m, maxScore);
+    // Step 2: unnormalized softmax terms over the subset. The
+    // weights hold u_i = exp(s_i - max) until the final division.
+    SoftmaxTerms terms;
+    terms.maxScore = k.maxReduce(scratch.sub.data(), m);
+    terms.expSum =
+        k.expSumInPlace(scratch.sub.data(), m, terms.maxScore);
     if (full)
         for (std::size_t i = 0; i < m; ++i)
-            expWeights[rows[i]] = scratch.sub[i];
+            result.weights[rows[i]] = scratch.sub[i];
 
-    // Step 3: unnormalized accumulation of the selected value rows.
-    accum.assign(d, 0.0f);
+    // Step 3: unnormalized accumulation of the selected value rows,
+    // then normalization in place. 0 / expSum stays exactly 0, so
+    // dividing the scattered weights applies the same per-element
+    // IEEE division the m-length workspace would see.
+    result.output.assign(d, 0.0f);
     k.gatherWeightedSum(value.data().data(), d, rows.data(), m,
-                        scratch.sub.data(), accum.data());
-}
-
-}  // namespace
-
-void
-subsetAttentionInto(const Matrix &key, const Matrix &value,
-                    const Vector &query,
-                    std::span<const std::uint32_t> rows,
-                    AttentionResult &result, Scratch &scratch,
-                    ResultDetail detail)
-{
-    // The single-shard specialization of the partial path: the same
-    // core writes the unnormalized terms into result's own buffers
-    // (weights holding u_i, output holding the accumulation), and
-    // normalization happens in place.
-    float maxScore = 0.0f;
-    float expSum = 0.0f;
-    subsetPartialCore(key, value, query, rows, result.scores,
-                      result.weights, result.candidates, result.kept,
-                      result.output, maxScore, expSum, scratch,
-                      detail);
-    result.iterations = 0;
-    const Kernels &k = activeKernels();
-    k.divideBy(result.weights.data(), result.weights.size(), expSum);
-    k.divideBy(result.output.data(), result.output.size(), expSum);
-}
-
-void
-subsetAttentionPartialInto(const Matrix &key, const Matrix &value,
-                           const Vector &query,
-                           std::span<const std::uint32_t> rows,
-                           PartialResult &out, Scratch &scratch,
-                           ResultDetail detail)
-{
-    subsetPartialCore(key, value, query, rows, out.scores,
-                      out.expWeights, out.candidates, out.kept,
-                      out.accum, out.maxScore, out.expSum, scratch,
-                      detail);
-    out.iterations = 0;
+                        scratch.sub.data(), result.output.data());
+    k.divideBy(result.weights.data(), result.weights.size(),
+               terms.expSum);
+    k.divideBy(result.output.data(), result.output.size(),
+               terms.expSum);
+    return terms;
 }
 
 }  // namespace a3

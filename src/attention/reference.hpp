@@ -51,34 +51,18 @@ AttentionResult subsetAttention(const Matrix &key, const Matrix &value,
 
 /**
  * Allocation-free core of subsetAttention(): writes every field of
- * `result` (reusing its buffers) and takes its softmax workspace from
- * `scratch.sub`. `rows` may alias scratch.rowIds or scratch.kept.
- * Implemented as subsetAttentionPartialInto() + finalizePartialInto()
- * — exact attention is the single-shard specialization of the partial
- * path. At ResultDetail::Output only output and iterations are
- * written (the dense fields are cleared); output is bit-identical.
+ * `result` (reusing its buffers), takes its softmax workspace from
+ * `scratch.sub`, and returns the softmax's log-sum-exp terms — all a
+ * unit partial adds to the answer. `rows` may alias scratch.rowIds
+ * or scratch.kept. At ResultDetail::Output only output and
+ * iterations are written (the dense fields are cleared); output is
+ * bit-identical.
  */
-void subsetAttentionInto(const Matrix &key, const Matrix &value,
-                         const Vector &query,
-                         std::span<const std::uint32_t> rows,
-                         AttentionResult &result, Scratch &scratch,
-                         ResultDetail detail);
-
-/**
- * Partial-output core of the reference path: scores, unnormalized
- * exp weights, their sum, the row maximum, and the unnormalized value
- * accumulation over `rows` — everything the log-sum-exp shard merge
- * needs, and exactly the quantities subsetAttentionInto() normalizes
- * (see PartialResult). Buffer discipline matches subsetAttentionInto:
- * softmax workspace in `scratch.sub`, `rows` may alias scratch row
- * buffers, and every field of `out` is (re)written — the dense ones
- * cleared at ResultDetail::Output.
- */
-void subsetAttentionPartialInto(const Matrix &key, const Matrix &value,
-                                const Vector &query,
-                                std::span<const std::uint32_t> rows,
-                                PartialResult &out, Scratch &scratch,
-                                ResultDetail detail);
+SoftmaxTerms subsetAttentionInto(const Matrix &key, const Matrix &value,
+                                 const Vector &query,
+                                 std::span<const std::uint32_t> rows,
+                                 AttentionResult &result,
+                                 Scratch &scratch, ResultDetail detail);
 
 }  // namespace a3
 

@@ -21,7 +21,7 @@ namespace a3 {
  */
 enum class ResultDetail {
     /**
-     * output and iterations (plus accum, maxScore and expSum on a
+     * output and iterations (plus maxScore and expSum on a
      * PartialResult); the per-row arrays and id lists stay empty.
      */
     Output,
@@ -65,54 +65,40 @@ struct AttentionResult
     std::size_t iterations = 0;
 };
 
-/**
- * Softmax partials of one attention operation, before normalization —
- * the shard-local contribution of the numerically stable distributed
- * softmax decomposition. A shard holding rows with scores s_i returns
- *
- *     maxScore   m = max_i s_i            (over the kept rows)
- *     expSum     Z = sum_i exp(s_i - m)
- *     expWeights u_i = exp(s_i - m)       (0 for excluded rows)
- *     accum      a = sum_i u_i * v_i      (unnormalized value sum)
- *
- * and shards combine via log-sum-exp: with M = max_s m_s and
- * c_s = exp(m_s - M), the merged weights are u_i * c_s / sum_s Z_s c_s
- * and the merged output is (sum_s a_s c_s) / (sum_s Z_s c_s).
- * Normalizing a single partial (finalizePartialInto) recovers the
- * plain AttentionResult, which is why runInto() is the single-shard
- * specialization of the partial path.
- *
- * scores / candidates / kept / iterations mirror AttentionResult but
- * are local to the shard's rows (ids in [0, shard rows)). At
- * ResultDetail::Output a partial carries only accum, maxScore, expSum
- * and iterations — all a log-sum-exp merge of outputs needs — and
- * expWeights, scores, candidates and kept are left empty.
- */
-struct PartialResult
+/** The log-sum-exp terms of one softmax over the kept rows. */
+struct SoftmaxTerms
 {
-    /** d-dimensional unnormalized value accumulation sum u_i * v_i. */
-    Vector accum;
-
-    /** Per-row unnormalized weights exp(s_i - maxScore), length n. */
-    Vector expWeights;
-
-    /** Per-row similarity scores, length n (0 for non-candidates). */
-    Vector scores;
-
-    /** Rows surviving candidate selection, ascending local ids. */
-    std::vector<std::uint32_t> candidates;
-
-    /** Rows surviving post-scoring selection, ascending subset. */
-    std::vector<std::uint32_t> kept;
-
-    /** Greedy-search iterations actually executed (0 if exact). */
-    std::size_t iterations = 0;
-
     /** Maximum score over the kept rows. */
     float maxScore = 0.0f;
 
     /** Sum of exp(s_i - maxScore) over the kept rows. */
     float expSum = 0.0f;
+};
+
+/**
+ * One work unit's answer in mergeable form: the unit's normalized
+ * AttentionResult — exactly the fields its backend's runInto()
+ * writes at the same detail — plus the SoftmaxTerms of its softmax
+ * over the kept rows,
+ *
+ *     maxScore  m = max_i s_i
+ *     expSum    Z = sum_i exp(s_i - m)
+ *
+ * This is the form the paper's datapath produces by construction
+ * (Module 3 divides every exponent by the sum before it weights V),
+ * and the (normalized output, log-sum-exp) pair split-K decoding
+ * kernels merge. Units combine by weighting unit s with
+ * c_s Z_s / sum_t c_t Z_t, where M = max_s m_s and c_s =
+ * exp(m_s - M): each unit's output and weights are scaled by that
+ * share (see mergeShardPartials). A single unit has share exactly 1,
+ * so it merges to itself bit for bit, for every backend kind.
+ *
+ * Row ids in scores / weights / candidates / kept are local to the
+ * unit's rows (ids in [0, unit rows)). At ResultDetail::Output the
+ * per-row arrays and id lists are empty, as in AttentionResult.
+ */
+struct PartialResult : AttentionResult, SoftmaxTerms
+{
 };
 
 }  // namespace a3

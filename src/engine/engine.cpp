@@ -32,10 +32,10 @@ struct GroupView
  * sharded backend, one total for a plain one), run all units of the
  * whole batch on one work list, and have the lane that finishes a
  * query's last unit merge its partials serially in unit order
- * (mergeUnitsInto). Single-unit queries take the backend's exact
- * runInto() path, so bit-identity with sequential run() calls is
- * preserved for every kind — including the quantized backends, whose
- * partial roundtrip is only ULP-bounded. No backend ever borrows a
+ * (mergeUnitsInto). Single-unit queries take the backend's
+ * runInto() directly — the same answer as its one unit merged, with
+ * no partial slot. Either way results are bit-identical to
+ * sequential run() calls for every kind. No backend ever borrows a
  * nested pool: shard partials from many queries share these lanes.
  */
 void
@@ -122,8 +122,7 @@ runFlattened(const ThreadPool &pool,
         const Vector &query = (*view.queries)[item.query];
         AttentionResult &slot = (*view.results)[item.query];
         if (unitCount[item.group] == 1) {
-            // The backend's exact sequential path — required for the
-            // single-unit bit-identity guarantee.
+            // A single unit is the backend's own runInto().
             view.backend->runInto(query, slot, view.detail);
         } else {
             const std::size_t f = queryBase[item.group] + item.query;

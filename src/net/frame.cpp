@@ -10,7 +10,8 @@ bool
 frameTypeKnown(std::uint16_t raw)
 {
     return raw >= static_cast<std::uint16_t>(FrameType::Hello) &&
-           raw <= static_cast<std::uint16_t>(FrameType::Shutdown);
+           raw <= static_cast<std::uint16_t>(FrameType::Shutdown) &&
+           raw != 7;  // retired in protocol version 3
 }
 
 const char *
@@ -29,8 +30,6 @@ frameTypeName(FrameType type)
         return "query";
     case FrameType::PartialReply:
         return "partial-reply";
-    case FrameType::ResultReply:
-        return "result-reply";
     case FrameType::Heartbeat:
         return "heartbeat";
     case FrameType::HeartbeatAck:

@@ -14,13 +14,11 @@
  *  - Hello / HelloAck: version handshake when a connection opens.
  *  - BindShard / BindAck: ship one shard's rows + EngineConfig to a
  *    worker, which binds a backend once and serves it thereafter.
- *  - Query / PartialReply / ResultReply: one attention query against
- *    a bound shard; the reply carries the shard's softmax partials
- *    (PartialReply) or, for single-shard tasks, the full normalized
- *    result (ResultReply) so the coordinator can mirror
- *    ShardedBackend's S = 1 delegation bit for bit. Unless the
- *    query asks for the dense diagnostics, the reply carries them
- *    as zero-count arrays.
+ *  - Query / PartialReply: one attention query against a bound
+ *    shard; the reply carries the shard's unit partial (its
+ *    normalized answer plus log-sum-exp terms). Unless the query
+ *    asks for the dense diagnostics, the reply carries them as
+ *    zero-count arrays.
  *  - Heartbeat / HeartbeatAck: liveness probes driving the
  *    coordinator's healthy/suspect/dead worker states.
  *  - ErrorReply: typed worker-side failure for a request.
@@ -40,9 +38,11 @@ namespace a3 {
 
 /**
  * Protocol version this build speaks. Version 2 turned the Query
- * frame's wantFull byte into a flags byte (wantFull, wantDetail).
+ * frame's single-shard byte into a flags byte; version 3 retired
+ * the single-shard mode with its flag bit and reply frame (type 7),
+ * and a PartialReply now carries a normalized answer.
  */
-constexpr std::uint16_t kProtocolVersion = 2;
+constexpr std::uint16_t kProtocolVersion = 3;
 
 /** Frame magic: "A3RP" (A3 remote protocol), little-endian. */
 constexpr std::uint32_t kFrameMagic = 0x50523341u;
@@ -66,7 +66,7 @@ enum class FrameType : std::uint16_t {
     BindAck = 4,
     Query = 5,
     PartialReply = 6,
-    ResultReply = 7,
+    // 7 was the single-shard result reply, retired in version 3.
     Heartbeat = 8,
     HeartbeatAck = 9,
     ErrorReply = 10,

@@ -23,7 +23,7 @@ void
 mergeShardPartials(const std::vector<PartialResult> &partials,
                    const std::vector<std::size_t> &offsets,
                    std::size_t totalRows, std::size_t dims,
-                   PartialResult &out)
+                   AttentionResult &out)
 {
     a3Assert(!partials.empty(), "nothing to merge");
     a3Assert(partials.size() == offsets.size(),
@@ -31,57 +31,63 @@ mergeShardPartials(const std::vector<PartialResult> &partials,
     const Kernels &k = activeKernels();
 
     // A shard holds at least one row, so a Full partial always
-    // carries expWeights; an empty one marks a lean partial.
-    const bool full = !partials.front().expWeights.empty();
+    // carries weights; an empty one marks a lean partial.
+    const bool full = !partials.front().weights.empty();
 
-    // Global max first: the shard holding it gets scale exp(0) = 1
-    // exactly, so its terms pass through the merge untouched.
+    // Global max first: the shard holding it gets c = exp(0) = 1
+    // exactly. Then the global exp-sum, sum_s c_s Z_s.
     float maxScore = partials.front().maxScore;
     for (const PartialResult &p : partials)
         maxScore = std::max(maxScore, p.maxScore);
+    const auto scaledExpSum = [maxScore](const PartialResult &p) {
+        return std::exp(p.maxScore - maxScore) * p.expSum;
+    };
+    float expSum = 0.0f;
+    for (const PartialResult &p : partials)
+        expSum += scaledExpSum(p);
 
     if (full) {
         out.scores.assign(totalRows, 0.0f);
-        out.expWeights.assign(totalRows, 0.0f);
+        out.weights.assign(totalRows, 0.0f);
     } else {
         out.scores.clear();
-        out.expWeights.clear();
+        out.weights.clear();
     }
     out.candidates.clear();
     out.kept.clear();
     out.iterations = 0;
-    out.maxScore = maxScore;
-    out.expSum = 0.0f;
-    out.accum.assign(dims, 0.0f);
 
     // Serial merge in shard-index order, regardless of how the
     // partials were computed — the fixed order that makes parallel,
-    // serial, and remote fan-out bit-identical. Lean partials take
-    // only the accumulation and exp-sum terms.
+    // serial, and remote fan-out bit-identical.
     for (std::size_t s = 0; s < partials.size(); ++s) {
         const PartialResult &p = partials[s];
-        a3Assert(p.expWeights.empty() != full,
+        a3Assert(p.weights.empty() != full,
                  "shard partials disagree on their detail");
-        a3Assert(p.accum.size() == dims,
+        a3Assert(p.output.size() == dims,
                  "shard partial dimension mismatch");
-        const float scale = std::exp(p.maxScore - maxScore);
-        k.axpy(scale, p.accum.data(), out.accum.data(), dims);
-        out.expSum += p.expSum * scale;
+        const float share = scaledExpSum(p) / expSum;
+        if (s == 0) {
+            out.output.assign(p.output.begin(), p.output.end());
+            k.scale(out.output.data(), dims, share);
+        } else {
+            k.axpy(share, p.output.data(), out.output.data(), dims);
+        }
         out.iterations += p.iterations;
         if (!full)
             continue;
 
         const std::size_t offset = offsets[s];
-        const std::size_t local = p.expWeights.size();
+        const std::size_t local = p.weights.size();
         a3Assert(offset + local <= totalRows,
                  "shard partial overruns the task rows");
         std::copy(p.scores.begin(), p.scores.end(),
                   out.scores.begin() +
                       static_cast<std::ptrdiff_t>(offset));
-        std::copy(p.expWeights.begin(), p.expWeights.end(),
-                  out.expWeights.begin() +
+        std::copy(p.weights.begin(), p.weights.end(),
+                  out.weights.begin() +
                       static_cast<std::ptrdiff_t>(offset));
-        k.scale(out.expWeights.data() + offset, local, scale);
+        k.scale(out.weights.data() + offset, local, share);
 
         const auto globalId = [offset](std::uint32_t id) {
             return static_cast<std::uint32_t>(offset + id);

@@ -2,12 +2,14 @@
  * @file
  * Shared shard layout and partial-merge helpers.
  *
- * The fixed-order log-sum-exp combine of per-shard softmax partials
- * (see PartialResult for the decomposition) is the determinism
- * anchor of every sharded execution mode: ShardedBackend's
- * in-process fan-out, and RemoteShardCoordinator's fan-out over
- * worker processes, both merge through this one function — which is
- * what makes remote results bit-identical to local ones, including
+ * The fixed-order log-sum-exp combine of per-shard partials (each a
+ * normalized answer plus its log-sum-exp terms, see PartialResult)
+ * is the determinism anchor of every sharded execution mode:
+ * ShardedBackend's in-process fan-out, and RemoteShardCoordinator's
+ * fan-out over worker processes, both merge through this one
+ * function — which is what makes remote results bit-identical to
+ * local ones, and S = 1 results bit-identical to unsharded ones,
+ * including
  * runs where a worker died mid-query and a replica or local rebind
  * supplied the partial (the merge only sees *which* partials, never
  * *where* they were computed).
@@ -41,24 +43,30 @@ std::vector<std::size_t> prefixShardSizes(std::size_t n,
 
 /**
  * Log-sum-exp combine of per-shard partials, serially in shard
- * order, into one partial over global row ids. partials[s] covers
- * the rows starting at offsets[s]; its local row count is its
- * expWeights length. `totalRows` and `dims` size the output
- * buffers. The merge order is fixed regardless of how (or where)
- * the partials were computed — the exact-match determinism
- * contract.
+ * order, into one result over global row ids. partials[s] covers
+ * the rows starting at offsets[s]; `totalRows` and `dims` size the
+ * output buffers. With M = max_s m_s and c_s = exp(m_s - M), shard s
+ * contributes with the share c_s Z_s / sum_t c_t Z_t: its output
+ * and weights are scaled by that share, its scores, candidates and
+ * kept rows carry over at their global ids, and iterations add up.
+ * The merge order is fixed regardless of how (or where) the
+ * partials were computed — the exact-match determinism contract.
+ *
+ * The first shard is written by a scaled copy, not an axpy onto
+ * zeros, so a single partial (share exactly 1) merges to itself bit
+ * for bit, signed zeros included: S = 1 sharded is the unsharded
+ * answer for every kind.
  *
  * The merge follows what the partials carry. Full partials are
  * scattered into length-totalRows arrays; lean (Output-detail)
- * partials — empty expWeights — merge by an axpy on accum alone and
- * yield a lean partial. The partials must agree on their detail.
- * accum, maxScore, expSum and iterations are bit-identical either
- * way.
+ * partials — empty weights — yield a lean result. The partials must
+ * agree on their detail. output and iterations are bit-identical
+ * either way.
  */
 void mergeShardPartials(const std::vector<PartialResult> &partials,
                         const std::vector<std::size_t> &offsets,
                         std::size_t totalRows, std::size_t dims,
-                        PartialResult &out);
+                        AttentionResult &out);
 
 }  // namespace a3
 

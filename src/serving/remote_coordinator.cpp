@@ -31,8 +31,8 @@ sleepSeconds(double seconds)
 
 /**
  * Request id a client-bound reply frame answers: the leading u64
- * of PartialReply, ResultReply, and ErrorReply payloads alike (0
- * for connection-level errors and short payloads).
+ * of PartialReply and ErrorReply payloads alike (0 for
+ * connection-level errors and short payloads).
  */
 std::uint64_t
 replyRequestId(const Frame &frame)
@@ -50,7 +50,6 @@ bool
 isReplyFrame(const Frame &frame)
 {
     return frame.type == FrameType::PartialReply ||
-           frame.type == FrameType::ResultReply ||
            frame.type == FrameType::ErrorReply;
 }
 
@@ -475,7 +474,6 @@ NetStatus
 RemoteShardCoordinator::sendQuery(std::size_t w,
                                   const Shard &shard,
                                   const Vector &query,
-                                  bool wantFull,
                                   ResultDetail detail,
                                   std::uint64_t &requestId)
 {
@@ -483,7 +481,6 @@ RemoteShardCoordinator::sendQuery(std::size_t w,
     payload.requestId = nextRequestId_++;
     payload.shardId = shard.id;
     payload.generation = shard.generation;
-    payload.wantFull = wantFull;
     payload.wantDetail = detail == ResultDetail::Full;
     payload.query = query;
     const NetStatus status =
@@ -559,10 +556,9 @@ RemoteShardCoordinator::awaitReply(std::size_t w,
 
 NetStatus
 RemoteShardCoordinator::decodeShardReply(const Frame &frame,
-                                         bool wantFull,
-                                         std::uint32_t shardId,
-                                         PartialResult *partial,
-                                         AttentionResult *result)
+                                         const Shard &shard,
+                                         ResultDetail detail,
+                                         PartialResult &partial)
 {
     if (frame.type == FrameType::ErrorReply) {
         ErrorReplyPayload error;
@@ -571,20 +567,6 @@ RemoteShardCoordinator::decodeShardReply(const Frame &frame,
             return status;
         return NetStatus::failure(error.code, error.message);
     }
-    if (wantFull) {
-        if (frame.type != FrameType::ResultReply)
-            return NetStatus::failure(NetError::Malformed,
-                                      "expected a result reply");
-        const NetStatus status =
-            decodeResultReply(frame, resultScratch_);
-        if (!status.ok())
-            return status;
-        if (resultScratch_.shardId != shardId)
-            return NetStatus::failure(NetError::Malformed,
-                                      "reply for wrong shard");
-        std::swap(*result, resultScratch_.result);
-        return NetStatus::success();
-    }
     if (frame.type != FrameType::PartialReply)
         return NetStatus::failure(NetError::Malformed,
                                   "expected a partial reply");
@@ -592,10 +574,28 @@ RemoteShardCoordinator::decodeShardReply(const Frame &frame,
         decodePartialReply(frame, partialScratch_);
     if (!status.ok())
         return status;
-    if (partialScratch_.shardId != shardId)
+    if (partialScratch_.shardId != shard.id)
         return NetStatus::failure(NetError::Malformed,
                                   "reply for wrong shard");
-    std::swap(*partial, partialScratch_.partial);
+    // A well-formed payload must still fit what the merge reads: a
+    // d-length output, per-row arrays of the shard's length at Full
+    // and none at Output, and row ids inside the shard.
+    const PartialResult &p = partialScratch_.partial;
+    const bool full = detail == ResultDetail::Full;
+    const std::size_t rowCount = full ? shard.rowCount : 0;
+    const auto outside = [&shard](std::uint32_t id) {
+        return id >= shard.rowCount;
+    };
+    if (p.output.size() != dims_ || p.weights.size() != rowCount ||
+        p.scores.size() != rowCount ||
+        (!full && (!p.candidates.empty() || !p.kept.empty())) ||
+        std::any_of(p.candidates.begin(), p.candidates.end(),
+                    outside) ||
+        std::any_of(p.kept.begin(), p.kept.end(), outside))
+        return NetStatus::failure(
+            NetError::Malformed,
+            "reply does not fit the shard and the detail asked for");
+    std::swap(partial, partialScratch_.partial);
     return NetStatus::success();
 }
 
@@ -603,14 +603,11 @@ NetStatus
 RemoteShardCoordinator::queryOnce(std::size_t w,
                                   const Shard &shard,
                                   const Vector &query,
-                                  bool wantFull,
                                   ResultDetail detail,
-                                  PartialResult *partial,
-                                  AttentionResult *result)
+                                  PartialResult &partial)
 {
     std::uint64_t requestId = 0;
-    NetStatus status =
-        sendQuery(w, shard, query, wantFull, detail, requestId);
+    NetStatus status = sendQuery(w, shard, query, detail, requestId);
     if (!status.ok())
         return status;
     Frame reply;
@@ -618,8 +615,7 @@ RemoteShardCoordinator::queryOnce(std::size_t w,
                         effectiveQueryDeadlineLocked(), reply);
     if (!status.ok())
         return status;
-    status =
-        decodeShardReply(reply, wantFull, shard.id, partial, result);
+    status = decodeShardReply(reply, shard, detail, partial);
     if (status.ok())
         markAnswered(w);
     return status;
@@ -627,9 +623,8 @@ RemoteShardCoordinator::queryOnce(std::size_t w,
 
 void
 RemoteShardCoordinator::runLocal(Shard &shard, const Vector &query,
-                                 bool wantFull, ResultDetail detail,
-                                 PartialResult *partial,
-                                 AttentionResult *result)
+                                 ResultDetail detail,
+                                 PartialResult &partial)
 {
     if (shard.local == nullptr) {
         ++stats_.rebinds;
@@ -638,19 +633,14 @@ RemoteShardCoordinator::runLocal(Shard &shard, const Vector &query,
             value_.rowSlice(shard.offset, shard.rowCount));
     }
     ++stats_.localFallbacks;
-    if (wantFull)
-        shard.local->runInto(query, *result, detail);
-    else
-        shard.local->runPartialInto(query, *partial, detail);
+    shard.local->runUnitPartialInto(0, query, partial, detail);
 }
 
 void
 RemoteShardCoordinator::recoverShard(Shard &shard,
                                      const Vector &query,
-                                     bool wantFull,
                                      ResultDetail detail,
-                                     PartialResult *partial,
-                                     AttentionResult *result)
+                                     PartialResult &partial)
 {
     // 2. Bounded exponential-backoff retries on the primary.
     if (!shard.replicas.empty()) {
@@ -664,8 +654,7 @@ RemoteShardCoordinator::recoverShard(Shard &shard,
                                config_.retryBackoffMaxSeconds);
             ++stats_.retries;
             const NetStatus status =
-                queryOnce(primary, shard, query, wantFull, detail,
-                          partial, result);
+                queryOnce(primary, shard, query, detail, partial);
             if (status.ok())
                 return;
             if (!retryable(status.error))
@@ -678,9 +667,7 @@ RemoteShardCoordinator::recoverShard(Shard &shard,
         if (!workerAlive(w))
             continue;
         ++stats_.failovers;
-        if (queryOnce(w, shard, query, wantFull, detail, partial,
-                      result)
-                .ok()) {
+        if (queryOnce(w, shard, query, detail, partial).ok()) {
             // Promote the answering replica.
             std::swap(shard.replicas[0], shard.replicas[r]);
             return;
@@ -699,14 +686,12 @@ RemoteShardCoordinator::recoverShard(Shard &shard,
         ++stats_.rebinds;
         shard.replicas.assign(1, w);
         ++stats_.failovers;
-        if (queryOnce(w, shard, query, wantFull, detail, partial,
-                      result)
-                .ok())
+        if (queryOnce(w, shard, query, detail, partial).ok())
             return;
     }
     // 5. Local execution — the ladder never fails the query.
     shard.replicas.clear();
-    runLocal(shard, query, wantFull, detail, partial, result);
+    runLocal(shard, query, detail, partial);
 }
 
 void
@@ -720,10 +705,8 @@ RemoteShardCoordinator::beginOperation()
 
 void
 RemoteShardCoordinator::queryAllShards(const Vector &query,
-                                       bool wantFull,
                                        ResultDetail detail,
-                                       PartialResult *mergedPartial,
-                                       AttentionResult *fullResult)
+                                       AttentionResult &out)
 {
     a3Assert(query.size() == dims_, "query dimension ",
              query.size(), " does not match the task dimension ",
@@ -740,8 +723,7 @@ RemoteShardCoordinator::queryAllShards(const Vector &query,
             if (!workerAlive(w))
                 continue;
             std::uint64_t requestId = 0;
-            if (sendQuery(w, shard, query, wantFull, detail, requestId)
-                    .ok()) {
+            if (sendQuery(w, shard, query, detail, requestId).ok()) {
                 if (r != 0) {
                     // The primary was gone before we even sent:
                     // promote the answering replica.
@@ -761,9 +743,6 @@ RemoteShardCoordinator::queryAllShards(const Vector &query,
     partials_.resize(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         Shard &shard = shards_[s];
-        PartialResult *partial =
-            wantFull ? nullptr : &partials_[s];
-        AttentionResult *result = wantFull ? fullResult : nullptr;
         bool done = false;
         if (pending_[s].sent) {
             Frame reply;
@@ -771,22 +750,18 @@ RemoteShardCoordinator::queryAllShards(const Vector &query,
                 pending_[s].worker, pending_[s].requestId,
                 effectiveQueryDeadlineLocked(), reply);
             if (status.ok())
-                status = decodeShardReply(reply, wantFull,
-                                          shard.id, partial,
-                                          result);
+                status = decodeShardReply(reply, shard, detail,
+                                          partials_[s]);
             if (status.ok()) {
                 markAnswered(pending_[s].worker);
                 done = true;
             }
         }
         if (!done)
-            recoverShard(shard, query, wantFull, detail, partial,
-                         result);
+            recoverShard(shard, query, detail, partials_[s]);
     }
-
-    if (!wantFull)
-        mergeShardPartials(partials_, shardOffsets_, key_.rows(), dims_,
-                           *mergedPartial);
+    mergeShardPartials(partials_, shardOffsets_, key_.rows(), dims_,
+                       out);
 }
 
 void
@@ -796,30 +771,7 @@ RemoteShardCoordinator::runInto(const Vector &query,
 {
     auto *self = const_cast<RemoteShardCoordinator *>(this);
     std::lock_guard<std::mutex> lock(mu_);
-    // Single shard: ask for the full normalized result, mirroring
-    // ShardedBackend's S = 1 delegation — bit-identical for every
-    // kind, including the quantized ones whose partial roundtrip
-    // is not bit-tight.
-    if (shards_.size() == 1) {
-        self->queryAllShards(query, /*wantFull=*/true, detail, nullptr,
-                             &out);
-        return;
-    }
-    thread_local PartialResult merged;
-    self->queryAllShards(query, /*wantFull=*/false, detail, &merged,
-                         nullptr);
-    finalizePartialInto(merged, out);
-}
-
-void
-RemoteShardCoordinator::runPartialInto(const Vector &query,
-                                       PartialResult &out,
-                                       ResultDetail detail) const
-{
-    auto *self = const_cast<RemoteShardCoordinator *>(this);
-    std::lock_guard<std::mutex> lock(mu_);
-    self->queryAllShards(query, /*wantFull=*/false, detail, &out,
-                         nullptr);
+    self->queryAllShards(query, detail, out);
 }
 
 void

@@ -7,11 +7,13 @@
  * builds in either store mode (prefixShardSizes, partial_merge.hpp):
  * floor(n / shardRows) full shards plus a remainder tail. It ships
  * each shard to worker processes as BindShard frames, fans every
- * query out over the workers, and merges the returned softmax
- * partials through the shared mergeShardPartials() — which is what
- * makes its results bit-identical to the in-process ShardedBackend,
- * store-less or store-backed, and hence to an unsharded backend,
- * for every engine kind.
+ * query out over the workers, and merges the returned unit partials
+ * through the shared mergeShardPartials() — which is what makes its
+ * results bit-identical to the in-process ShardedBackend, store-less
+ * or store-backed, for every engine kind and shard count (and so,
+ * at S = 1, to an unsharded backend). A reply that decodes but does
+ * not fit its shard or the detail asked for counts as a failed
+ * answer, never reaches the merge, and escalates like a timeout.
  *
  * Robustness model, in escalation order per shard query:
  *   1. deadline   — every remote wait is bounded;
@@ -166,18 +168,15 @@ class RemoteShardCoordinator final : public AttentionBackend
 
     std::string name() const override;
 
-    using AttentionBackend::runInto;
-    using AttentionBackend::runPartialInto;
-
     /**
-     * Fan the query out and merge, asking the workers for the
-     * dense diagnostics only at ResultDetail::Full — at Output the
-     * replies carry zero-count per-row arrays.
+     * Fan the query out and merge the shards' unit partials,
+     * asking the workers for the dense diagnostics only at
+     * ResultDetail::Full — at Output the replies carry zero-count
+     * per-row arrays.
      */
-    void runInto(const Vector &query, AttentionResult &out,
-                 ResultDetail detail) const override;
-    void runPartialInto(const Vector &query, PartialResult &out,
-                        ResultDetail detail) const override;
+    void runInto(
+        const Vector &query, AttentionResult &out,
+        ResultDetail detail = ResultDetail::Full) const override;
     void append(const Matrix &keyRows,
                 const Matrix &valueRows) override;
     std::size_t memoryBytes() const override;
@@ -261,32 +260,34 @@ class RemoteShardCoordinator final : public AttentionBackend
     void ensureReplicationAll(bool countRebinds);
 
     NetStatus sendQuery(std::size_t w, const Shard &shard,
-                        const Vector &query, bool wantFull,
-                        ResultDetail detail, std::uint64_t &requestId);
+                        const Vector &query, ResultDetail detail,
+                        std::uint64_t &requestId);
     NetStatus awaitReply(std::size_t w, std::uint64_t requestId,
                          double deadlineSeconds, Frame &out);
-    NetStatus decodeShardReply(const Frame &frame, bool wantFull,
-                               std::uint32_t shardId,
-                               PartialResult *partial,
-                               AttentionResult *result);
+
+    /**
+     * Decode a worker's reply for `shard` into `partial`. A reply
+     * the merge could not take — an output whose length is not d,
+     * per-row arrays that do not match the shard's rows at `detail`,
+     * row ids outside the shard — is Malformed, and the caller
+     * escalates down the recovery ladder.
+     */
+    NetStatus decodeShardReply(const Frame &frame, const Shard &shard,
+                               ResultDetail detail,
+                               PartialResult &partial);
     NetStatus queryOnce(std::size_t w, const Shard &shard,
-                        const Vector &query, bool wantFull,
-                        ResultDetail detail, PartialResult *partial,
-                        AttentionResult *result);
+                        const Vector &query, ResultDetail detail,
+                        PartialResult &partial);
 
     /** The full escalation ladder for one shard; never fails. */
     void recoverShard(Shard &shard, const Vector &query,
-                      bool wantFull, ResultDetail detail,
-                      PartialResult *partial, AttentionResult *result);
+                      ResultDetail detail, PartialResult &partial);
 
-    void runLocal(Shard &shard, const Vector &query, bool wantFull,
-                  ResultDetail detail, PartialResult *partial,
-                  AttentionResult *result);
+    void runLocal(Shard &shard, const Vector &query,
+                  ResultDetail detail, PartialResult &partial);
 
-    void queryAllShards(const Vector &query, bool wantFull,
-                        ResultDetail detail,
-                        PartialResult *mergedPartial,
-                        AttentionResult *fullResult);
+    void queryAllShards(const Vector &query, ResultDetail detail,
+                        AttentionResult &out);
 
     void beginOperation();
 
@@ -318,7 +319,6 @@ class RemoteShardCoordinator final : public AttentionBackend
     mutable std::vector<Pending> pending_;
     mutable std::vector<PartialResult> partials_;
     mutable PartialReplyPayload partialScratch_;
-    mutable ResultReplyPayload resultScratch_;
 
     /** Background heartbeat machinery (heartbeatPeriodSeconds > 0):
      *  the thread waits on hbCv_ so the destructor can interrupt a

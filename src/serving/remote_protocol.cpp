@@ -8,10 +8,12 @@ namespace a3 {
 
 namespace {
 
-/** Query flags byte: the QueryPayload wantFull / wantDetail bits. */
-constexpr std::uint8_t kQueryWantFull = 1;
+/**
+ * Query flags byte: the QueryPayload wantDetail bit. Bit 0 asked
+ * for the single-shard mode before protocol version 3 and is now
+ * rejected with every other unknown bit.
+ */
 constexpr std::uint8_t kQueryWantDetail = 2;
-constexpr std::uint8_t kQueryFlags = kQueryWantFull | kQueryWantDetail;
 
 NetStatus
 malformed(const char *what)
@@ -191,12 +193,7 @@ encodeQuery(const QueryPayload &payload)
     w.u64(payload.requestId);
     w.u32(payload.shardId);
     w.u64(payload.generation);
-    std::uint8_t flags = 0;
-    if (payload.wantFull)
-        flags |= kQueryWantFull;
-    if (payload.wantDetail)
-        flags |= kQueryWantDetail;
-    w.u8(flags);
+    w.u8(payload.wantDetail ? kQueryWantDetail : 0);
     w.floats(payload.query.data(), payload.query.size());
     return {FrameType::Query, w.take()};
 }
@@ -213,10 +210,10 @@ decodeQuery(const Frame &frame, QueryPayload &out)
     out.generation = r.u64();
     const std::uint8_t flags = r.u8();
     r.floats(out.query);
-    if (!r.done() || (flags & ~kQueryFlags) != 0 || out.query.empty())
+    if (!r.done() || (flags & ~kQueryWantDetail) != 0 ||
+        out.query.empty())
         return malformed("malformed query payload");
-    out.wantFull = (flags & kQueryWantFull) != 0;
-    out.wantDetail = (flags & kQueryWantDetail) != 0;
+    out.wantDetail = flags == kQueryWantDetail;
     return NetStatus::success();
 }
 
@@ -230,8 +227,8 @@ encodePartialReply(const PartialReplyPayload &payload)
     w.f32(p.maxScore);
     w.f32(p.expSum);
     w.u64(p.iterations);
-    w.floats(p.accum.data(), p.accum.size());
-    w.floats(p.expWeights.data(), p.expWeights.size());
+    w.floats(p.output.data(), p.output.size());
+    w.floats(p.weights.data(), p.weights.size());
     w.floats(p.scores.data(), p.scores.size());
     putIds(w, p.candidates);
     putIds(w, p.kept);
@@ -252,50 +249,13 @@ decodePartialReply(const Frame &frame, PartialReplyPayload &out)
     p.maxScore = r.f32();
     p.expSum = r.f32();
     p.iterations = static_cast<std::size_t>(r.u64());
-    r.floats(p.accum);
-    r.floats(p.expWeights);
+    r.floats(p.output);
+    r.floats(p.weights);
     r.floats(p.scores);
     r.u32s(p.candidates);
     r.u32s(p.kept);
-    if (!r.done() || p.scores.size() != p.expWeights.size())
+    if (!r.done() || p.scores.size() != p.weights.size())
         return malformed("malformed partial-reply payload");
-    return NetStatus::success();
-}
-
-Frame
-encodeResultReply(const ResultReplyPayload &payload)
-{
-    const AttentionResult &res = payload.result;
-    WireWriter w;
-    w.u64(payload.requestId);
-    w.u32(payload.shardId);
-    w.u64(res.iterations);
-    w.floats(res.output.data(), res.output.size());
-    w.floats(res.weights.data(), res.weights.size());
-    w.floats(res.scores.data(), res.scores.size());
-    putIds(w, res.candidates);
-    putIds(w, res.kept);
-    return {FrameType::ResultReply, w.take()};
-}
-
-NetStatus
-decodeResultReply(const Frame &frame, ResultReplyPayload &out)
-{
-    NetStatus status = requireType(frame, FrameType::ResultReply);
-    if (!status.ok())
-        return status;
-    WireReader r(frame.payload);
-    out.requestId = r.u64();
-    out.shardId = r.u32();
-    AttentionResult &res = out.result;
-    res.iterations = static_cast<std::size_t>(r.u64());
-    r.floats(res.output);
-    r.floats(res.weights);
-    r.floats(res.scores);
-    r.u32s(res.candidates);
-    r.u32s(res.kept);
-    if (!r.done() || res.scores.size() != res.weights.size())
-        return malformed("malformed result-reply payload");
     return NetStatus::success();
 }
 

@@ -12,7 +12,9 @@
  *
  * Floats travel as IEEE-754 bit patterns, so a PartialResult
  * decoded here is bit-identical to the one the worker computed —
- * the foundation of the coordinator's exactness guarantee.
+ * the foundation of the coordinator's exactness guarantee. Decoding
+ * checks the payload's shape only; whether a reply fits the shard
+ * and the detail asked for is the coordinator's check.
  */
 
 #ifndef A3_SERVING_REMOTE_PROTOCOL_HPP
@@ -67,15 +69,6 @@ struct QueryPayload
     std::uint64_t generation = 0;
 
     /**
-     * Request the full normalized result (ResultReply) instead of
-     * softmax partials — the single-shard mode that mirrors
-     * ShardedBackend's S = 1 runInto() delegation bit for bit
-     * (the quantized kinds' partial roundtrip is not bit-tight).
-     * Bit 0 of the flags byte.
-     */
-    bool wantFull = false;
-
-    /**
      * Request the dense per-row diagnostics (ResultDetail::Full).
      * Without it the worker answers at ResultDetail::Output: the
      * reply's per-row arrays and id lists travel with zero counts.
@@ -86,20 +79,16 @@ struct QueryPayload
     Vector query;
 };
 
-/** PartialReply: the shard's softmax partials for a request. */
+/**
+ * PartialReply: the shard's unit partial for a request — its
+ * normalized answer plus the log-sum-exp terms the merge weights it
+ * by.
+ */
 struct PartialReplyPayload
 {
     std::uint64_t requestId = 0;
     std::uint32_t shardId = 0;
     PartialResult partial;
-};
-
-/** ResultReply: full normalized result (wantFull queries). */
-struct ResultReplyPayload
-{
-    std::uint64_t requestId = 0;
-    std::uint32_t shardId = 0;
-    AttentionResult result;
 };
 
 /** Heartbeat / HeartbeatAck: liveness probe and echo. */
@@ -124,7 +113,6 @@ Frame encodeBindShard(const BindShardPayload &payload);
 Frame encodeBindAck(const BindAckPayload &payload);
 Frame encodeQuery(const QueryPayload &payload);
 Frame encodePartialReply(const PartialReplyPayload &payload);
-Frame encodeResultReply(const ResultReplyPayload &payload);
 Frame encodeHeartbeat(const HeartbeatPayload &payload, bool ack);
 Frame encodeErrorReply(const ErrorReplyPayload &payload);
 Frame encodeShutdown();
@@ -141,8 +129,6 @@ NetStatus decodeBindAck(const Frame &frame, BindAckPayload &out);
 NetStatus decodeQuery(const Frame &frame, QueryPayload &out);
 NetStatus decodePartialReply(const Frame &frame,
                              PartialReplyPayload &out);
-NetStatus decodeResultReply(const Frame &frame,
-                            ResultReplyPayload &out);
 NetStatus decodeHeartbeat(const Frame &frame,
                           HeartbeatPayload &out);
 NetStatus decodeErrorReply(const Frame &frame,

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "fixed/packed.hpp"
 #include "util/logging.hpp"
 
 namespace a3 {
@@ -22,31 +21,6 @@ sendError(Transport &transport, std::uint64_t requestId,
 }
 
 }  // namespace
-
-NetStatus
-validateRemoteEngineConfig(const EngineConfig &config)
-{
-    if (config.kind != EngineKind::ExactQuantized &&
-        config.kind != EngineKind::ApproxQuantized)
-        return NetStatus::success();
-    if (config.intBits <= 0 || config.fracBits <= 0)
-        return NetStatus::failure(
-            NetError::WorkerError,
-            "quantization widths must be positive");
-    const int word = config.intBits + config.fracBits + 1;
-    int lane = 32;
-    if (config.packedKv == PackedKvFormat::Int8)
-        lane = 8;
-    else if (config.packedKv == PackedKvFormat::Int4)
-        lane = 4;
-    if (word > lane)
-        return NetStatus::failure(
-            NetError::WorkerError,
-            "input word of " + std::to_string(word) +
-                " bits exceeds the " + std::to_string(lane) +
-                "-bit lane");
-    return NetStatus::success();
-}
 
 ShardWorker::ShardWorker(std::string name) : name_(std::move(name))
 {
@@ -136,9 +110,9 @@ ShardWorker::handleBind(Transport &transport, const Frame &frame)
         sendError(transport, 0, status.error, status.message);
         return;
     }
-    status = validateRemoteEngineConfig(bind.config);
-    if (!status.ok()) {
-        sendError(transport, 0, status.error, status.message);
+    const std::string error = validateEngineConfig(bind.config);
+    if (!error.empty()) {
+        sendError(transport, 0, NetError::WorkerError, error);
         return;
     }
     BoundShard &slot = shards_[bind.shardId];
@@ -187,24 +161,13 @@ ShardWorker::handleQuery(Transport &transport, const Frame &frame)
     }
     // Without wantDetail the reply's per-row arrays stay empty and
     // travel as zero-count arrays.
-    const ResultDetail detail =
-        query.wantDetail ? ResultDetail::Full : ResultDetail::Output;
-    if (query.wantFull) {
-        // Single-shard mode: the full normalized result, exactly
-        // what ShardedBackend's S = 1 runInto() delegation returns.
-        thread_local ResultReplyPayload reply;
-        reply.requestId = query.requestId;
-        reply.shardId = query.shardId;
-        shard.backend->runInto(query.query, reply.result, detail);
-        transport.send(encodeResultReply(reply));
-    } else {
-        thread_local PartialReplyPayload reply;
-        reply.requestId = query.requestId;
-        reply.shardId = query.shardId;
-        shard.backend->runPartialInto(query.query, reply.partial,
-                                      detail);
-        transport.send(encodePartialReply(reply));
-    }
+    thread_local PartialReplyPayload reply;
+    reply.requestId = query.requestId;
+    reply.shardId = query.shardId;
+    shard.backend->runUnitPartialInto(
+        0, query.query, reply.partial,
+        query.wantDetail ? ResultDetail::Full : ResultDetail::Output);
+    transport.send(encodePartialReply(reply));
 }
 
 InProcessWorker::InProcessWorker(std::string name)

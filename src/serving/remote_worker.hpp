@@ -5,18 +5,17 @@
  * A ShardWorker binds row-slices shipped to it as BindShard frames
  * (building the same makeBackend() engines the coordinator would
  * build locally — the other half of the bit-identity guarantee) and
- * answers Query frames with softmax partials or, in wantFull mode,
- * full normalized results. One serve() loop handles one connection;
- * the worker is deliberately single-threaded per connection so
- * replies preserve query order (the FIFO property the coordinator's
- * reply matching relies on).
+ * answers Query frames with the bound backend's unit partial. One
+ * serve() loop handles one connection; the worker is deliberately
+ * single-threaded per connection so replies preserve query order
+ * (the FIFO property the coordinator's reply matching relies on).
  *
  * Robustness contract: a frame that decodes but violates the
- * protocol (unknown shard, stale generation, config makeBackend()
- * would reject) yields a typed ErrorReply and the connection stays
- * up; only an unrecoverable transport failure (poisoned stream,
- * peer close) or an explicit Shutdown frame ends the loop. A worker
- * must never abort on anything a peer sent it.
+ * protocol (unknown shard, stale generation, a config
+ * validateEngineConfig() rejects) yields a typed ErrorReply and the
+ * connection stays up; only an unrecoverable transport failure
+ * (poisoned stream, peer close) or an explicit Shutdown frame ends
+ * the loop. A worker must never abort on anything a peer sent it.
  *
  * Two deployment shapes share this class: tools/shard_worker wraps
  * it in a process around a UnixServerSocket, and InProcessWorker
@@ -39,15 +38,6 @@
 #include "serving/remote_protocol.hpp"
 
 namespace a3 {
-
-/**
- * Reject an EngineConfig that arrived over the wire if
- * makeBackend() would fatal() on it (non-positive quantization
- * widths, input word over the lane budget). The worker gates every
- * BindShard through this so a hostile or buggy peer gets a typed
- * ErrorReply instead of killing the process.
- */
-NetStatus validateRemoteEngineConfig(const EngineConfig &config);
 
 /** Serves BindShard/Query/Heartbeat frames on one connection. */
 class ShardWorker

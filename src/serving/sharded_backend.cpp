@@ -1,10 +1,8 @@
 #include "serving/sharded_backend.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
-#include "kernels/kernels.hpp"
 #include "serving/partial_merge.hpp"
 #include "util/logging.hpp"
 
@@ -103,8 +101,6 @@ ShardedBackend::shardOffset(std::size_t s) const
 std::size_t
 ShardedBackend::workUnitCount() const
 {
-    // A single shard stays a single unit so the engine routes the
-    // query through the wrapped backend's exact runInto() path.
     return shards_.size();
 }
 
@@ -116,7 +112,7 @@ ShardedBackend::runUnitPartialInto(std::size_t unit,
 {
     a3Assert(unit < shards_.size(), "work unit ", unit, " out of ",
              shards_.size());
-    shards_[unit]->backend().runPartialInto(query, out, detail);
+    shards_[unit]->backend().runUnitPartialInto(0, query, out, detail);
 }
 
 void
@@ -126,43 +122,16 @@ ShardedBackend::mergeUnitsInto(
 {
     a3Assert(partials.size() == shards_.size(),
              "expected one partial per shard");
-    if (shards_.size() == 1) {
-        finalizePartialInto(partials.front(), out);
-        return;
-    }
     // The shared fixed-order log-sum-exp combine — the same code
     // RemoteShardCoordinator merges worker partials through, which
     // is what keeps remote results bit-identical to local ones.
-    thread_local PartialResult merged;
-    mergeShardPartials(partials, offsets_, rows(), dims_, merged);
-    finalizePartialInto(merged, out);
+    mergeShardPartials(partials, offsets_, rows(), dims_, out);
 }
 
 void
 ShardedBackend::runInto(const Vector &query, AttentionResult &out,
                         ResultDetail detail) const
 {
-    // Degenerate single shard: the wrapped backend IS the task, so
-    // delegating keeps every kind — including the quantized paths,
-    // whose partial roundtrip is not bit-tight — bit-identical to an
-    // unsharded backend.
-    if (shards_.size() == 1) {
-        shards_.front()->backend().runInto(query, out, detail);
-        return;
-    }
-    thread_local PartialResult merged;
-    runPartialInto(query, merged, detail);
-    finalizePartialInto(merged, out);
-}
-
-void
-ShardedBackend::runPartialInto(const Vector &query, PartialResult &out,
-                               ResultDetail detail) const
-{
-    if (shards_.size() == 1) {
-        shards_.front()->backend().runPartialInto(query, out, detail);
-        return;
-    }
     // Per-thread partial slots keep the steady-state query path
     // allocation-free (each slot's buffers regrow only when the task
     // shape grows), while staying thread-compatible across
@@ -173,9 +142,8 @@ ShardedBackend::runPartialInto(const Vector &query, PartialResult &out,
     thread_local std::vector<PartialResult> partials;
     partials.resize(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s)
-        shards_[s]->backend().runPartialInto(query, partials[s],
-                                             detail);
-    mergeShardPartials(partials, offsets_, rows(), dims_, out);
+        runUnitPartialInto(s, query, partials[s], detail);
+    mergeUnitsInto(partials, out);
 }
 
 void

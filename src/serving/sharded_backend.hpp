@@ -7,9 +7,10 @@
  * task's row count. ShardedBackend lifts that cap by partitioning a
  * task's key/value rows into S row-contiguous shards, binding an
  * inner backend per shard (any of the four kinds via makeBackend),
- * fanning queries out across the shards, and merging the per-shard
- * softmax partials with the numerically stable log-sum-exp combine
- * (see PartialResult for the decomposition).
+ * fanning queries out across the shards, and merging the shards'
+ * unit partials — normalized answers plus log-sum-exp terms — with
+ * the numerically stable log-sum-exp combine (see PartialResult and
+ * mergeShardPartials).
  *
  * The composite does not own its shards: each shard is a refcounted
  * ShardHandle (shard_store.hpp). Every bind uses one *prefix-aligned*
@@ -37,9 +38,9 @@
  * the calling thread.
  *
  * Guarantees:
- *  - S = 1 delegates straight to the wrapped backend, so a sharded
- *    session that fits one shard is bit-identical to an unsharded
- *    one, for every backend kind.
+ *  - S = 1 is bit-identical to an unsharded backend, for every
+ *    kind: a plain backend's unit partial is its runInto() answer,
+ *    and one partial merges to itself bit for bit.
  *  - Shard partials are always merged serially in shard-index order
  *    after the fan-out completes, so results are bit-identical
  *    between serial and engine-parallel fan-out and across thread
@@ -49,8 +50,8 @@
  *    spill image round-trips state verbatim), so store-backed
  *    results never depend on which tier served a shard.
  *  - Reference shards match the unsharded reference within a small
- *    ULP bound (each weight picks up one exp(m_s - M) scaling and
- *    the value accumulation is reassociated at shard boundaries);
+ *    ULP bound (each weight picks up one share scaling and the
+ *    output sum is reassociated at shard boundaries);
  *    approx/quantized shards are accuracy-bounded against the
  *    unsharded flow because selection and fixed-point sizing are
  *    shard-local.
@@ -112,44 +113,29 @@ class ShardedBackend final : public AttentionBackend
     /** "sharded(<inner name>)", e.g. "sharded(reference)". */
     std::string name() const override;
 
-    using AttentionBackend::runInto;
-    using AttentionBackend::runPartialInto;
-    using AttentionBackend::runUnitPartialInto;
-
     /**
-     * Answer one query: per-shard partials computed serially on the
-     * calling thread at `detail`, then the fixed-order log-sum-exp
-     * merge. With a single shard this delegates to the wrapped
-     * backend's runInto() — bit-identical by construction. Row ids
-     * in scores, weights, candidates, and kept are global;
+     * Answer one query: every shard's unit partial computed serially
+     * on the calling thread at `detail`, then mergeUnitsInto(). Row
+     * ids in scores, weights, candidates, and kept are global;
      * iterations sums the shards.
      */
-    void runInto(const Vector &query, AttentionResult &out,
-                 ResultDetail detail) const override;
+    void runInto(
+        const Vector &query, AttentionResult &out,
+        ResultDetail detail = ResultDetail::Full) const override;
 
     /**
-     * Work-unit decomposition: one unit per shard when S > 1 (the
-     * engine fans the units out and merges them in shard order), one
-     * unit total when S = 1 (so the engine keeps the wrapped
-     * backend's exact runInto() path — the S = 1 bit-identity
-     * guarantee for the quantized kinds).
+     * Work-unit decomposition: one unit per shard. Unit s is shard
+     * s's own unit partial; the merge is the fixed-order log-sum-exp
+     * combine (mergeShardPartials). The engine fans S > 1 units out
+     * and merges them in shard order; a single shard stays one unit
+     * and goes through runInto().
      */
     std::size_t workUnitCount() const override;
-    void runUnitPartialInto(std::size_t unit, const Vector &query,
-                            PartialResult &out,
-                            ResultDetail detail) const override;
+    void runUnitPartialInto(
+        std::size_t unit, const Vector &query, PartialResult &out,
+        ResultDetail detail = ResultDetail::Full) const override;
     void mergeUnitsInto(const std::vector<PartialResult> &partials,
                         AttentionResult &out) const override;
-
-    /**
-     * Merge the shard partials into one unnormalized partial (global
-     * max, summed exp-sum, scaled accumulation) — the full backend
-     * contract, so a sharded session can feed any consumer of the
-     * partial path. Shards themselves are always the plain kinds
-     * (makeBackend), never nested sharded backends.
-     */
-    void runPartialInto(const Vector &query, PartialResult &out,
-                        ResultDetail detail) const override;
 
     /**
      * Route appended rows to the mutable tail until it reaches

@@ -71,19 +71,15 @@ TEST(FlattenedEngine, WorkUnitContractDefaults)
         cfg.kind = kind;
         const auto backend = makeBackend(
             cfg, randomMatrix(rng, 48, d), randomMatrix(rng, 48, d));
-        // Every plain backend is a single unit, and the default
-        // unit-partial path is exactly runPartialInto.
+        // Every plain backend is a single unit, and its one unit
+        // partial merges to exactly its runInto() answer.
         EXPECT_EQ(backend->workUnitCount(), 1u);
         const Vector q = randomQuery(rng, d);
         PartialResult viaUnit;
         backend->runUnitPartialInto(0, q, viaUnit);
         AttentionResult merged;
         backend->mergeUnitsInto({viaUnit}, merged);
-        PartialResult direct;
-        backend->runPartialInto(q, direct);
-        AttentionResult finalized;
-        finalizePartialInto(direct, finalized);
-        expectBitIdentical(merged, finalized);
+        expectBitIdentical(merged, backend->run(q));
     }
 }
 
@@ -114,9 +110,8 @@ TEST(FlattenedEngine, ShardedUnitsMatchShards)
 TEST(FlattenedEngine, SingleShardKeepsExactPathEveryKind)
 {
     // S = 1 exposes one unit, so the engine routes the query through
-    // the wrapped backend's exact runInto() — the bit-identity
-    // guarantee that matters for the quantized kinds, whose partial
-    // roundtrip is only ULP-bounded.
+    // the sharded runInto(): the shard's unit partial merged alone,
+    // bit-identical to the wrapped backend for every kind.
     Rng rng(21200);
     const std::size_t d = 8;
     for (const EngineKind kind : kAllKinds) {

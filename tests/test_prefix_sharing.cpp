@@ -871,15 +871,17 @@ class HintRecordingBackend final : public AttentionBackend
     }
 
     std::string name() const override { return "hint-recorder"; }
-    void runInto(const Vector &query, AttentionResult &out,
-                 ResultDetail detail) const override
+    void runInto(
+        const Vector &query, AttentionResult &out,
+        ResultDetail detail = ResultDetail::Full) const override
     {
         inner_.runInto(query, out, detail);
     }
-    void runPartialInto(const Vector &query, PartialResult &out,
-                        ResultDetail detail) const override
+    void runUnitPartialInto(
+        std::size_t unit, const Vector &query, PartialResult &out,
+        ResultDetail detail = ResultDetail::Full) const override
     {
-        inner_.runPartialInto(query, out, detail);
+        inner_.runUnitPartialInto(unit, query, out, detail);
     }
     void append(const Matrix &keyRows,
                 const Matrix &valueRows) override

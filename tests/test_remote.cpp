@@ -14,6 +14,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -264,8 +266,8 @@ TEST(RemoteProtocolTest, PartialReplyRoundTripIsBitExact)
     reply.partial.maxScore = 1.25f;
     reply.partial.expSum = 0.875f;
     reply.partial.iterations = 12;
-    reply.partial.accum = {0.1f, -2.5f};
-    reply.partial.expWeights = {0.5f, 0.25f, 0.0f};
+    reply.partial.output = {0.1f, -2.5f};
+    reply.partial.weights = {0.5f, 0.25f, 0.0f};
     reply.partial.scores = {1.0f, -1.0f, 0.0f};
     reply.partial.candidates = {0, 1};
     reply.partial.kept = {1};
@@ -276,8 +278,8 @@ TEST(RemoteProtocolTest, PartialReplyRoundTripIsBitExact)
     EXPECT_EQ(out.requestId, 99u);
     EXPECT_EQ(out.partial.maxScore, 1.25f);
     EXPECT_EQ(out.partial.expSum, 0.875f);
-    EXPECT_EQ(out.partial.accum, reply.partial.accum);
-    EXPECT_EQ(out.partial.expWeights, reply.partial.expWeights);
+    EXPECT_EQ(out.partial.output, reply.partial.output);
+    EXPECT_EQ(out.partial.weights, reply.partial.weights);
     EXPECT_EQ(out.partial.scores, reply.partial.scores);
     EXPECT_EQ(out.partial.candidates, reply.partial.candidates);
     EXPECT_EQ(out.partial.kept, reply.partial.kept);
@@ -324,20 +326,69 @@ TEST(RemoteProtocolTest, RejectsOutOfRangeEnums)
 TEST(RemoteProtocolTest, WorkerConfigValidationMatchesMakeBackend)
 {
     EngineConfig config = configFor(EngineKind::ExactQuantized);
-    EXPECT_TRUE(validateRemoteEngineConfig(config).ok());
+    EXPECT_EQ(validateEngineConfig(config), "");
 
     config.intBits = 0;
-    EXPECT_FALSE(validateRemoteEngineConfig(config).ok());
+    EXPECT_NE(validateEngineConfig(config), "");
 
     config = configFor(EngineKind::ExactQuantized);
     config.intBits = 20;
     config.fracBits = 20;  // 41-bit word over the 32-bit lane
-    EXPECT_FALSE(validateRemoteEngineConfig(config).ok());
+    EXPECT_NE(validateEngineConfig(config), "");
+
+    config = configFor(EngineKind::ExactQuantized);
+    config.packedKv = PackedKvFormat::Int4;  // 12-bit word, 4-bit lane
+    EXPECT_NE(validateEngineConfig(config), "");
+
+    // Widths near INT_MAX must not overflow the word-size sum.
+    config = configFor(EngineKind::ApproxQuantized);
+    config.intBits = std::numeric_limits<int>::max();
+    config.fracBits = std::numeric_limits<int>::max();
+    EXPECT_NE(validateEngineConfig(config), "");
 
     // Float kinds ignore the quantization fields entirely.
     config = configFor(EngineKind::ExactFloat);
     config.intBits = -3;
-    EXPECT_TRUE(validateRemoteEngineConfig(config).ok());
+    EXPECT_EQ(validateEngineConfig(config), "");
+
+    // Hostile approximation knobs the wire can carry: each would
+    // trip an assert on the first query (iterationsFor, or
+    // thresholdFromPercent).
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const EngineKind kind :
+         {EngineKind::ApproxFloat, EngineKind::ApproxQuantized}) {
+        SCOPED_TRACE(engineKindName(kind));
+        for (const double mFraction : {0.0, -0.5, nan}) {
+            config = configFor(kind);
+            config.approx.mFraction = mFraction;
+            config.approx.mAbsolute = 0;
+            EXPECT_NE(validateEngineConfig(config), "") << mFraction;
+            // Unused knobs are not checked: an absolute M, or no
+            // candidate selection at all.
+            config.approx.mAbsolute = 4;
+            EXPECT_EQ(validateEngineConfig(config), "");
+            config.approx.mAbsolute = 0;
+            config.approx.candidateSelection = false;
+            EXPECT_EQ(validateEngineConfig(config), "");
+        }
+        for (const double threshold : {0.0, -5.0, nan}) {
+            config = configFor(kind);
+            config.approx.thresholdPercent = threshold;
+            EXPECT_NE(validateEngineConfig(config), "") << threshold;
+            config.approx.postScoring = false;
+            EXPECT_EQ(validateEngineConfig(config), "");
+        }
+        // A huge finite fraction is valid: M clamps to n.
+        config = configFor(kind);
+        config.approx.mFraction = 1e300;
+        EXPECT_EQ(validateEngineConfig(config), "");
+        EXPECT_EQ(config.approx.iterationsFor(40), 40u);
+    }
+    // The exact kinds ignore the approximation knobs.
+    config = configFor(EngineKind::ExactFloat);
+    config.approx.mFraction = nan;
+    config.approx.thresholdPercent = -1.0;
+    EXPECT_EQ(validateEngineConfig(config), "");
 }
 
 // -------------------------------------------------- fault injector
@@ -517,11 +568,10 @@ TEST_F(RemoteWorkerTest, BindsAndAnswersBitIdenticalPartials)
     ASSERT_TRUE(decodePartialReply(reply, partial).ok());
 
     PartialResult want;
-    local->runPartialInto(query, want);
+    local->runUnitPartialInto(0, query, want);
     EXPECT_EQ(partial.partial.maxScore, want.maxScore);
     EXPECT_EQ(partial.partial.expSum, want.expSum);
-    EXPECT_EQ(partial.partial.accum, want.accum);
-    EXPECT_EQ(partial.partial.expWeights, want.expWeights);
+    expectBitIdentical(partial.partial, want);
 }
 
 TEST_F(RemoteWorkerTest, RejectsStaleGenerationAndUnknownShard)
@@ -576,6 +626,41 @@ TEST_F(RemoteWorkerTest, RejectsLethalConfigWithoutDying)
     ASSERT_TRUE(
         roundTrip(encodeHeartbeat(beat, false), reply).ok());
     EXPECT_EQ(reply.type, FrameType::HeartbeatAck);
+}
+
+TEST_F(RemoteWorkerTest, RejectsHostileApproxConfigAndKeepsServing)
+{
+    // A NaN mFraction decodes fine but would panic the worker on its
+    // first query; the bind must be refused instead.
+    Rng rng(19);
+    BindShardPayload bind;
+    bind.shardId = 0;
+    bind.generation = 1;
+    bind.config = configFor(EngineKind::ApproxQuantized);
+    bind.config.approx.mFraction =
+        std::numeric_limits<double>::quiet_NaN();
+    bind.key = randomMatrix(rng, 6, 4);
+    bind.value = randomMatrix(rng, 6, 4);
+    Frame reply;
+    ASSERT_TRUE(roundTrip(encodeBindShard(bind), reply).ok());
+    ErrorReplyPayload error;
+    ASSERT_TRUE(decodeErrorReply(reply, error).ok());
+    EXPECT_EQ(error.code, NetError::WorkerError);
+
+    // Nothing was bound, and the worker still answers.
+    QueryPayload q;
+    q.requestId = 2;
+    q.generation = 1;
+    q.query = randomQuery(rng, 4);
+    ASSERT_TRUE(roundTrip(encodeQuery(q), reply).ok());
+    ASSERT_TRUE(decodeErrorReply(reply, error).ok());
+    EXPECT_EQ(error.requestId, 2u);
+    HeartbeatPayload beat;
+    ASSERT_TRUE(
+        roundTrip(encodeHeartbeat(beat, false), reply).ok());
+    HeartbeatPayload ack;
+    ASSERT_TRUE(decodeHeartbeat(reply, ack).ok());
+    EXPECT_EQ(ack.shardsBound, 0u);
 }
 
 // ----------------------------------------------------- coordinator
@@ -668,9 +753,9 @@ TEST(RemoteCoordinatorTest, SingleShardMatchesUnshardedBitExactly)
     const Matrix key = randomMatrix(rng, 12, 8);
     const Matrix value = randomMatrix(rng, 12, 8);
 
-    // The quantized kinds are the reason wantFull exists: their
-    // partial roundtrip is not bit-tight, so single-shard queries
-    // must travel as full results.
+    // One shard travels as an ordinary partial reply: a unit
+    // partial is the backend's own answer, and it merges to itself
+    // bit for bit — the quantized kinds included.
     for (const EngineKind kind : kAllKinds) {
         const EngineConfig inner = configFor(kind);
         Fleet fleet = makeFleet(1);
@@ -894,6 +979,112 @@ TEST(RemoteFaultToleranceTest, FallsBackLocallyWhenAllWorkersDie)
     EXPECT_GT(remote.stats().localFallbacks, 0u);
     EXPECT_EQ(remote.workerHealth(0), WorkerHealth::Dead);
     EXPECT_EQ(remote.workerHealth(1), WorkerHealth::Dead);
+}
+
+/**
+ * Decodes every PartialReply it receives and hands it to `rewrite`
+ * before the coordinator sees it — a worker whose replies are
+ * well-formed frames with the wrong contents.
+ */
+class RewritingTransport final : public Transport
+{
+  public:
+    using Rewrite = std::function<void(PartialResult &)>;
+
+    RewritingTransport(std::shared_ptr<Transport> inner,
+                       Rewrite rewrite)
+        : inner_(std::move(inner)), rewrite_(std::move(rewrite))
+    {
+    }
+
+    NetStatus send(const Frame &frame) override
+    {
+        return inner_->send(frame);
+    }
+
+    NetStatus recv(Frame &out, double timeoutSeconds) override
+    {
+        const NetStatus status = inner_->recv(out, timeoutSeconds);
+        PartialReplyPayload reply;
+        if (status.ok() && out.type == FrameType::PartialReply &&
+            decodePartialReply(out, reply).ok()) {
+            rewrite_(reply.partial);
+            out = encodePartialReply(reply);
+        }
+        return status;
+    }
+
+    void close() override { inner_->close(); }
+    bool isOpen() const override { return inner_->isOpen(); }
+
+  private:
+    std::shared_ptr<Transport> inner_;
+    Rewrite rewrite_;
+};
+
+TEST(RemoteFaultToleranceTest, MalformedRepliesEscalateAndStayExact)
+{
+    // Worker 0's replies are rewritten into shapes the merge would
+    // assert on. Each must count as a failed answer and escalate —
+    // here to a rebind onto worker 1 — with the query still answered
+    // bit-identically and the process alive.
+    struct Case
+    {
+        const char *name;
+        ResultDetail detail;
+        RewritingTransport::Rewrite rewrite;
+    };
+    const std::vector<Case> cases = {
+        {"short output", ResultDetail::Output,
+         [](PartialResult &p) { p.output.pop_back(); }},
+        {"dense arrays on a lean query", ResultDetail::Output,
+         [](PartialResult &p) {
+             p.weights.assign(16, 0.0f);
+             p.scores.assign(16, 0.0f);
+         }},
+        {"row id outside the shard", ResultDetail::Full,
+         [](PartialResult &p) { p.kept.push_back(16); }},
+        {"per-row arrays of the wrong length", ResultDetail::Full,
+         [](PartialResult &p) {
+             p.weights.push_back(0.0f);
+             p.scores.push_back(0.0f);
+         }},
+    };
+    Rng rng(229);
+    const std::size_t d = 8;
+    const Matrix key = randomMatrix(rng, 48, d);
+    const Matrix value = randomMatrix(rng, 48, d);
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        SCOPED_TRACE(cases[c].name);
+        const EngineConfig inner = configFor(kAllKinds[c]);
+        Fleet fleet = makeFleet(2);
+        RemoteShardConfig config = fastConfig();
+        auto connects = std::make_shared<std::size_t>(0);
+        config.decorateTransport =
+            [connects, rewrite = cases[c].rewrite](
+                std::shared_ptr<Transport> transport)
+            -> std::shared_ptr<Transport> {
+            if ((*connects)++ != 0)
+                return transport;
+            return std::make_shared<RewritingTransport>(
+                std::move(transport), rewrite);
+        };
+        RemoteShardCoordinator remote(inner, key, value, fleet.specs(),
+                                      config);
+        const ShardedBackend sharded(inner, key, value,
+                                     ShardedConfig{16});
+        AttentionResult got;
+        AttentionResult want;
+        for (int i = 0; i < 3; ++i) {
+            const Vector query = randomQuery(rng, d);
+            remote.runInto(query, got, cases[c].detail);
+            sharded.runInto(query, want, cases[c].detail);
+            expectBitIdentical(got, want);
+        }
+        const RemoteCoordinatorStats stats = remote.stats();
+        EXPECT_GT(stats.rebinds, 0u);
+        EXPECT_EQ(stats.localFallbacks, 0u);
+    }
 }
 
 TEST(RemoteFaultToleranceTest, DelayedRepliesAreStaleNotWrong)

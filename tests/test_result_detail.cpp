@@ -82,14 +82,10 @@ expectLeanMatches(const AttentionResult &lean,
 void
 expectLeanMatches(const PartialResult &lean, const PartialResult &full)
 {
-    EXPECT_EQ(lean.accum, full.accum);
+    expectLeanMatches(static_cast<const AttentionResult &>(lean),
+                      static_cast<const AttentionResult &>(full));
     EXPECT_EQ(lean.maxScore, full.maxScore);
     EXPECT_EQ(lean.expSum, full.expSum);
-    EXPECT_EQ(lean.iterations, full.iterations);
-    EXPECT_TRUE(lean.expWeights.empty());
-    EXPECT_TRUE(lean.scores.empty());
-    EXPECT_TRUE(lean.candidates.empty());
-    EXPECT_TRUE(lean.kept.empty());
 }
 
 void
@@ -103,8 +99,9 @@ expectBitIdentical(const AttentionResult &a, const AttentionResult &b)
     EXPECT_EQ(a.iterations, b.iterations);
 }
 
-/** Both detail levels of `backend` over `queries`, plus the partial
- *  path, with the same reused (and first dirtied) result objects. */
+/** Both detail levels of `backend` over `queries`, plus every unit
+ *  partial, with the same reused (and first dirtied) result
+ *  objects. */
 void
 checkBackend(const AttentionBackend &backend,
              const std::vector<Vector> &queries)
@@ -123,11 +120,14 @@ checkBackend(const AttentionBackend &backend,
         backend.runInto(q, lean, ResultDetail::Output);
         expectLeanMatches(lean, full);
 
-        PartialResult fullPartial;
-        backend.runPartialInto(q, fullPartial);
-        backend.runPartialInto(q, leanPartial);
-        backend.runPartialInto(q, leanPartial, ResultDetail::Output);
-        expectLeanMatches(leanPartial, fullPartial);
+        for (std::size_t u = 0; u < backend.workUnitCount(); ++u) {
+            PartialResult fullPartial;
+            backend.runUnitPartialInto(u, q, fullPartial);
+            backend.runUnitPartialInto(u, q, leanPartial);
+            backend.runUnitPartialInto(u, q, leanPartial,
+                                       ResultDetail::Output);
+            expectLeanMatches(leanPartial, fullPartial);
+        }
     }
 }
 
@@ -353,7 +353,7 @@ TEST(ResultDetail, RemoteCoordinatorOutputMatchesFull)
                                       fleet.specs(), fastConfig());
         const ShardedBackend sharded(inner, key, value,
                                      ShardedConfig{16});
-        // Single-shard mode (wantFull) at both details too.
+        // A single shard at both details too.
         Fleet single(1);
         RemoteShardConfig wide = fastConfig();
         wide.shardRows = 128;
@@ -372,6 +372,8 @@ TEST(ResultDetail, RemoteCoordinatorOutputMatchesFull)
 
             whole.runInto(q, got, ResultDetail::Output);
             expectLeanMatches(got, plain->run(q));
+            whole.runInto(q, got);
+            expectBitIdentical(got, plain->run(q));
         }
         EXPECT_EQ(remote.stats().localFallbacks, 0u);
     }
@@ -464,18 +466,14 @@ TEST(ResultDetail, RemoteSchedulerCompletionIsLean)
 
 TEST(ResultDetailProtocol, QueryFlagsRoundTrip)
 {
-    for (const bool wantFull : {false, true}) {
-        for (const bool wantDetail : {false, true}) {
-            QueryPayload query;
-            query.requestId = 3;
-            query.wantFull = wantFull;
-            query.wantDetail = wantDetail;
-            query.query = {1.0f, 2.0f};
-            QueryPayload out;
-            ASSERT_TRUE(decodeQuery(encodeQuery(query), out).ok());
-            EXPECT_EQ(out.wantFull, wantFull);
-            EXPECT_EQ(out.wantDetail, wantDetail);
-        }
+    for (const bool wantDetail : {false, true}) {
+        QueryPayload query;
+        query.requestId = 3;
+        query.wantDetail = wantDetail;
+        query.query = {1.0f, 2.0f};
+        QueryPayload out;
+        ASSERT_TRUE(decodeQuery(encodeQuery(query), out).ok());
+        EXPECT_EQ(out.wantDetail, wantDetail);
     }
 }
 
@@ -488,7 +486,9 @@ TEST(ResultDetailProtocol, UnknownQueryFlagIsMalformed)
     // The flags byte follows u64 requestId, u32 shardId and u64
     // generation.
     constexpr std::size_t kFlagsOffset = 8 + 4 + 8;
-    for (const std::uint8_t bit : {4, 8, 0x80}) {
+    // Bit 0 asked for the single-shard mode before protocol
+    // version 3.
+    for (const std::uint8_t bit : {1, 4, 8, 0x80}) {
         Frame bad = frame;
         bad.payload[kFlagsOffset] |= bit;
         QueryPayload out;
@@ -505,38 +505,25 @@ TEST(ResultDetailProtocol, LeanRepliesTravelAsZeroCountArrays)
     partial.partial.maxScore = 2.5f;
     partial.partial.expSum = 1.75f;
     partial.partial.iterations = 3;
-    partial.partial.accum = {0.5f, -1.0f, 2.0f};
+    partial.partial.output = {0.5f, -1.0f, 2.0f};
     // A reused payload object arrives holding stale dense fields.
     PartialReplyPayload decoded;
-    decoded.partial.expWeights = {1.0f};
+    decoded.partial.weights = {1.0f};
     decoded.partial.kept = {0};
     const Frame frame = encodePartialReply(partial);
     ASSERT_TRUE(decodePartialReply(frame, decoded).ok());
-    EXPECT_EQ(decoded.partial.accum, partial.partial.accum);
+    EXPECT_EQ(decoded.partial.output, partial.partial.output);
     EXPECT_EQ(decoded.partial.maxScore, 2.5f);
     EXPECT_EQ(decoded.partial.expSum, 1.75f);
     EXPECT_EQ(decoded.partial.iterations, 3u);
-    EXPECT_TRUE(decoded.partial.expWeights.empty());
+    EXPECT_TRUE(decoded.partial.weights.empty());
     EXPECT_TRUE(decoded.partial.scores.empty());
     EXPECT_TRUE(decoded.partial.candidates.empty());
     EXPECT_TRUE(decoded.partial.kept.empty());
     // requestId, shardId, maxScore, expSum and iterations, five
-    // u64 array counts, and the three accum floats.
+    // u64 array counts, and the three output floats.
     EXPECT_EQ(frame.payload.size(),
               8u + 4u + 4u + 4u + 8u + 5u * 8u + 3u * 4u);
-
-    ResultReplyPayload result;
-    result.requestId = 8;
-    result.result.output = {1.0f, 2.0f};
-    result.result.iterations = 5;
-    ResultReplyPayload decodedResult;
-    ASSERT_TRUE(
-        decodeResultReply(encodeResultReply(result), decodedResult)
-            .ok());
-    EXPECT_EQ(decodedResult.result.output, result.result.output);
-    EXPECT_EQ(decodedResult.result.iterations, 5u);
-    EXPECT_TRUE(decodedResult.result.weights.empty());
-    EXPECT_TRUE(decodedResult.result.kept.empty());
 }
 
 }  // namespace

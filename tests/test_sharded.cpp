@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for sharded attention over huge contexts: the partial-output
- * backend contract (runPartialInto + finalizePartialInto ==
- * runInto), the ShardedBackend's log-sum-exp merge (S = 1 bit-
+ * Tests for sharded attention over huge contexts: the unit-partial
+ * backend contract (one unit partial merged alone == runInto), the
+ * ShardedBackend's log-sum-exp merge (S = 1 bit-
  * identity, ULP-bounded reference equivalence, statistical accuracy
  * for the approx/quantized kinds), append routing across the shard
  * boundary, fixed-order merge determinism under parallel fan-out,
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -123,7 +124,18 @@ relativeL2(const Vector &got, const Vector &want)
                       : 0.0f;
 }
 
-TEST(PartialResultContract, FinalizeMatchesRunIntoFloatKinds)
+/** One unit partial of a plain backend, merged alone. */
+AttentionResult
+mergedUnit(const AttentionBackend &backend, const Vector &q,
+           PartialResult &partial)
+{
+    backend.runUnitPartialInto(0, q, partial);
+    AttentionResult merged;
+    backend.mergeUnitsInto({partial}, merged);
+    return merged;
+}
+
+TEST(PartialResultContract, UnitPartialMergesToRunIntoFloatKinds)
 {
     Rng rng(11000);
     const std::size_t d = 12;
@@ -136,21 +148,27 @@ TEST(PartialResultContract, FinalizeMatchesRunIntoFloatKinds)
                                          randomMatrix(rng, 40, d));
         for (int trial = 0; trial < 4; ++trial) {
             const Vector q = randomQuery(rng, d);
+            const AttentionResult direct = backend->run(q);
             PartialResult partial;
-            backend->runPartialInto(q, partial);
-            AttentionResult finalized;
-            finalizePartialInto(partial, finalized);
-            expectBitIdentical(finalized, backend->run(q));
+            expectBitIdentical(mergedUnit(*backend, q, partial),
+                               direct);
+            // The native terms are the softmax's own: the max kept
+            // score, and Z >= 1 (the max row contributes exp(0)).
+            float maxKept = direct.scores[direct.kept.front()];
+            for (const std::uint32_t r : direct.kept)
+                maxKept = std::max(maxKept, direct.scores[r]);
+            EXPECT_EQ(partial.maxScore, maxKept);
+            EXPECT_GE(partial.expSum, 1.0f);
         }
     }
 }
 
 TEST(PartialResultContract, DerivedFallbackPreservesWeighting)
 {
-    // The quantized kinds use the base-class fallback: partials are
-    // scaled-up copies of the normalized result, so finalizing them
-    // must recover the pipeline's own weights within a ULP-level
-    // roundtrip (x * Z / Z).
+    // The quantized kinds use the base-class derivation: the unit
+    // partial is the pipeline's own normalized answer plus float
+    // log-sum-exp terms, so merging it alone recovers runInto() —
+    // truncating-divider weights included — bit for bit.
     Rng rng(11100);
     const std::size_t d = 8;
     for (const EngineKind kind :
@@ -164,16 +182,9 @@ TEST(PartialResultContract, DerivedFallbackPreservesWeighting)
                                          randomMatrix(rng, 24, d));
         const Vector q = randomQuery(rng, d);
         PartialResult partial;
-        backend->runPartialInto(q, partial);
-        AttentionResult finalized;
-        finalizePartialInto(partial, finalized);
-        const AttentionResult direct = backend->run(q);
-        EXPECT_EQ(finalized.scores, direct.scores);
-        EXPECT_EQ(finalized.kept, direct.kept);
-        expectWithinUlps(finalized.weights, direct.weights,
-                         kWeightAbsFloor);
-        expectWithinUlps(finalized.output, direct.output,
-                         kOutputAbsFloor);
+        expectBitIdentical(mergedUnit(*backend, q, partial),
+                           backend->run(q));
+        EXPECT_GE(partial.expSum, 1.0f);
     }
 }
 
