@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "attention/approx_attention.hpp"
 #include "harness/accuracy.hpp"
 #include "sim/accelerator.hpp"
 #include "util/random.hpp"
@@ -132,9 +133,13 @@ skipHeuristic()
         double skippedSum = 0.0;
         for (int e = 0; e < 100; ++e) {
             const AttentionTask task = w.sample(rng);
-            ApproxAttention engine(task.key, task.value, cfg.approx);
+            const ApproxAttention engine(task.key, task.value,
+                                         cfg.approx);
             skippedSum += static_cast<double>(
-                engine.selectCandidates(task.queries[0])
+                efficientGreedySearch(
+                    engine.sortedKey(), task.queries[0],
+                    cfg.approx.iterationsFor(task.key.rows()),
+                    cfg.approx.skipHeuristic)
                     .skippedMinOps);
         }
         table.addRow({skip ? "on (paper)" : "off",

@@ -135,16 +135,6 @@ ApproxAttention::restore(const ApproxConfig &config, WireReader &in)
     return backend;
 }
 
-CandidateSearchResult
-ApproxAttention::selectCandidates(const Vector &query) const
-{
-    a3Assert(config_.candidateSelection,
-             "candidate selection disabled in this configuration");
-    return efficientGreedySearch(sorted_, query,
-                                 config_.iterationsFor(key_.rows()),
-                                 config_.skipHeuristic);
-}
-
 std::size_t
 ApproxAttention::candidateRowsInto(const Vector &query,
                                    Scratch &scratch) const

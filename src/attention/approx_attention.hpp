@@ -68,9 +68,6 @@ class ApproxAttention final : public AttentionBackend
     /** Float matrices plus the sorted-key SRAM of Section IV-A. */
     std::size_t memoryBytes() const override;
 
-    /** Candidate search only (exposed for Figure 11 sweeps). */
-    CandidateSearchResult selectCandidates(const Vector &query) const;
-
     /**
      * Stage 1 only: greedy candidate selection per the configuration,
      * including the degenerate-case fallback (all products

@@ -321,8 +321,8 @@ class ReferenceAttention final : public AttentionBackend
  * The full approximate-A3 flow: float greedy candidate selection
  * (pointer/comparator hardware), quantized dot products on the
  * candidates, post-scoring on those fixed-point scores, and the
- * quantized pipeline over the survivors — the same flow A3Accelerator
- * models cycle by cycle.
+ * quantized pipeline over the survivors — the flow A3Accelerator
+ * binds in approx mode and times cycle by cycle.
  */
 class ApproxQuantizedAttention final : public AttentionBackend
 {

@@ -12,11 +12,11 @@
 namespace a3 {
 
 QuantizedAttention::QuantizedAttention(int intBits, int fracBits,
-                                       std::size_t maxRows,
+                                       std::size_t rows,
                                        std::size_t dims)
-    : formats_(PipelineFormats::derive(intBits, fracBits, maxRows, dims)),
+    : formats_(PipelineFormats::derive(intBits, fracBits, rows, dims)),
       lut_(2 * fracBits, 2 * fracBits),
-      maxRows_(maxRows), dims_(dims)
+      dims_(dims)
 {
 }
 
@@ -47,7 +47,6 @@ QuantizedAttention::QuantizedAttention(Matrix key, Matrix value,
     const std::size_t n = key.rows();
     const std::size_t d = key.cols();
     boundRows_ = n;
-    bound_ = true;
     packRows(key, value, n);
     Scratch::forThread().reserveTask(n, d);
 }
@@ -117,17 +116,9 @@ QuantizedAttention::packRows(const Matrix &keyRows,
     }
 }
 
-std::size_t
-QuantizedAttention::rows() const
-{
-    return bound_ ? boundRows_ : maxRows_;
-}
-
 void
 QuantizedAttention::append(const Matrix &keyRows, const Matrix &valueRows)
 {
-    a3Assert(bound_, "append() needs a bound task; use the "
-                     "(key, value, intBits, fracBits) constructor");
     a3Assert(keyRows.rows() == valueRows.rows() &&
                  keyRows.cols() == valueRows.cols(),
              "appended key/value shape mismatch");
@@ -140,7 +131,6 @@ QuantizedAttention::append(const Matrix &keyRows, const Matrix &valueRows)
     const FixedFormat inFmt = formats_.input;
     packRows(keyRows, valueRows, k);
     boundRows_ += k;
-    maxRows_ = boundRows_;
     // Re-derive the stage widths for the grown n: only the expSum and
     // output capacity annotations change — every fraction width stays,
     // so existing words and future results are unaffected beyond the
@@ -183,7 +173,6 @@ QuantizedAttention::compact()
 void
 QuantizedAttention::serializeState(WireWriter &out) const
 {
-    a3Assert(bound_, "serializeState() needs a bound task");
     out.u64(boundRows_);
     out.u64(dims_);
     out.u8(static_cast<std::uint8_t>(packed_));
@@ -230,10 +219,10 @@ QuantizedAttention::restore(const EngineConfig &config, WireReader &in)
     // The sized constructor re-derives the stage formats and the
     // exponent LUT — both deterministic functions of the config and
     // shape, so recomputing them is bit-identical to the original.
-    auto backend = std::make_unique<QuantizedAttention>(
+    std::unique_ptr<QuantizedAttention> backend(new QuantizedAttention(
         config.intBits, config.fracBits,
         static_cast<std::size_t>(rows),
-        static_cast<std::size_t>(dims));
+        static_cast<std::size_t>(dims)));
     backend->packed_ = expected;
     in.floats(backend->keyScale_);
     in.floats(backend->valueScale_);
@@ -301,7 +290,6 @@ QuantizedAttention::restore(const EngineConfig &config, WireReader &in)
         return nullptr;
 
     backend->boundRows_ = n;
-    backend->bound_ = true;
     Scratch::forThread().reserveTask(n, d);
     return backend;
 }
@@ -322,13 +310,10 @@ void
 QuantizedAttention::runInto(const Vector &query, AttentionResult &out,
                             ResultDetail detail) const
 {
-    a3Assert(bound_, "one-argument run() needs a bound task; use the "
-                     "(key, value, intBits, fracBits) constructor");
     Scratch &scratch = Scratch::forThread();
     scratch.rowIds.resize(boundRows_);
     std::iota(scratch.rowIds.begin(), scratch.rowIds.end(), 0u);
-    runCore(boundRows_, nullptr, nullptr, query, scratch.rowIds, out,
-            scratch, detail);
+    runCore(query, scratch.rowIds, out, scratch, detail);
 }
 
 void
@@ -337,53 +322,19 @@ QuantizedAttention::runRowsInto(const Vector &query,
                                 AttentionResult &out,
                                 ResultDetail detail) const
 {
-    a3Assert(bound_, "runRowsInto() needs a bound task");
-    runCore(boundRows_, nullptr, nullptr, query, rows, out,
-            Scratch::forThread(), detail);
-}
-
-AttentionResult
-QuantizedAttention::run(const Matrix &key, const Matrix &value,
-                        const Vector &query) const
-{
-    std::vector<std::uint32_t> all(key.rows());
-    std::iota(all.begin(), all.end(), 0u);
-    return run(key, value, query, all);
-}
-
-AttentionResult
-QuantizedAttention::run(const Matrix &key, const Matrix &value,
-                        const Vector &query,
-                        const std::vector<std::uint32_t> &rows) const
-{
-    a3Assert(key.rows() == value.rows() && key.cols() == value.cols(),
-             "key/value shape mismatch");
-    AttentionResult out;
-    runCore(key.rows(), &key, &value, query, rows, out,
-            Scratch::forThread(), ResultDetail::Full);
-    return out;
+    runCore(query, rows, out, Scratch::forThread(), detail);
 }
 
 void
-QuantizedAttention::runCore(std::size_t n, const Matrix *key,
-                            const Matrix *value, const Vector &query,
+QuantizedAttention::runCore(const Vector &query,
                             std::span<const std::uint32_t> rows,
                             AttentionResult &result,
                             Scratch &scratch,
                             ResultDetail detail) const
 {
-    a3Assert(key == nullptr ||
-                 (key->rows() == n && key->cols() == dims_ &&
-                  value->rows() == n && value->cols() == dims_),
-             "task exceeds the sized pipeline capacity (",
-             key != nullptr ? key->rows() : n, "x",
-             key != nullptr ? key->cols() : dims_, " vs ", maxRows_,
-             "x", dims_, ")");
-    a3Assert(n <= maxRows_,
-             "task exceeds the sized pipeline capacity (", n, " rows "
-             "vs ", maxRows_, ")");
     a3Assert(!rows.empty(), "quantized pipeline needs at least one row");
 
+    const std::size_t n = boundRows_;
     const std::size_t d = dims_;
     const std::size_t m = rows.size();
     const FixedFormat inFmt = formats_.input;
@@ -394,11 +345,10 @@ QuantizedAttention::runCore(std::size_t n, const Matrix *key,
     for (std::size_t j = 0; j < d; ++j)
         queryQ[j] = inFmt.quantize(query[j]);
 
-    // Bound runs with a packed layout MAC directly on the packed
-    // lanes; the lanes hold the exact quantized words, so the result
-    // is bit-identical to the Word32 loops.
-    const bool packedLanes =
-        key == nullptr && packed_ != PackedKvFormat::Word32;
+    // A packed layout MACs directly on the packed lanes; the lanes
+    // hold the exact quantized words, so the result is bit-identical
+    // to the Word32 loops.
+    const bool packedLanes = packed_ != PackedKvFormat::Word32;
     const Kernels &kern = activeKernels();
 
     // --- Module 1: dot products and running max (Figure 5 lines 3-10).
@@ -431,14 +381,9 @@ QuantizedAttention::runCore(std::size_t n, const Matrix *key,
         for (std::size_t i = 0; i < m; ++i) {
             const std::uint32_t r = rows[i];
             std::int64_t sum = 0;  // adder-tree acc, (2i+log2 d, 2f)
-            if (key == nullptr) {
-                const std::int32_t *keyRow = keyQ_.data() + r * d;
-                for (std::size_t j = 0; j < d; ++j)
-                    sum += keyRow[j] * queryQ[j];
-            } else {
-                for (std::size_t j = 0; j < d; ++j)
-                    sum += inFmt.quantize((*key)(r, j)) * queryQ[j];
-            }
+            const std::int32_t *keyRow = keyQ_.data() + r * d;
+            for (std::size_t j = 0; j < d; ++j)
+                sum += keyRow[j] * queryQ[j];
             a3Assert(formats_.dotProduct.fits(sum),
                      "dot-product stage overflow: Section III-B widths "
                      "violated");
@@ -517,13 +462,9 @@ QuantizedAttention::runCore(std::size_t n, const Matrix *key,
                             outQ.data(), d);
             continue;
         }
-        const std::int32_t *valueRow =
-            value == nullptr ? valueQ_.data() + r * d : nullptr;
+        const std::int32_t *valueRow = valueQ_.data() + r * d;
         for (std::size_t j = 0; j < d; ++j) {
-            const std::int64_t vq =
-                valueRow != nullptr ? valueRow[j]
-                                    : inFmt.quantize((*value)(r, j));
-            const FixedValue valueV{vq, inFmt};
+            const FixedValue valueV{valueRow[j], inFmt};
             const FixedValue product = mulFull(weightV, valueV);
             // Accumulate at (i + log2 n, 3f); product already has 3f
             // fraction bits because weight carries 2f and value f.

@@ -674,12 +674,22 @@ RemoteShardCoordinator::recoverShard(Shard &shard,
         }
     }
     // 4. Re-replicate onto a survivor under a fresh generation
-    //    (late replies from the old binding become stale).
+    //    (late replies from the old binding become stale). The
+    //    replicas tried above just failed this shard — a Malformed
+    //    reply leaves its worker alive — so one of them is chosen
+    //    only when no other worker is alive.
     ++shard.generation;
+    const std::vector<std::size_t> failed = shard.replicas;
+    const auto hasFailed = [&failed](std::size_t w) {
+        return std::count(failed.begin(), failed.end(), w) != 0;
+    };
+    bool otherAlive = false;
+    for (std::size_t w = 0; w < workers_.size(); ++w)
+        otherAlive = otherAlive || (workerAlive(w) && !hasFailed(w));
     for (std::size_t i = 0; i < workers_.size(); ++i) {
         const std::size_t w =
             (shard.id + i) % workers_.size();
-        if (!workerAlive(w))
+        if (!workerAlive(w) || (otherAlive && hasFailed(w)))
             continue;
         if (!bindShardTo(w, shard).ok())
             continue;

@@ -188,18 +188,6 @@ TEST(AttentionBackend, FactoryCoversEveryKind)
     }
 }
 
-TEST(AttentionBackend, BoundQuantizedMatchesUnboundDatapath)
-{
-    const TestTask t = makeTask(200, 20, 8, 3);
-    const QuantizedAttention bound(t.key, t.value, 4, 4);
-    EXPECT_TRUE(bound.bound());
-    const QuantizedAttention datapath(4, 4, 20, 8);
-    for (const Vector &q : t.queries) {
-        expectBitIdentical(bound.run(q),
-                           datapath.run(t.key, t.value, q));
-    }
-}
-
 TEST(AttentionEngine, BatchedBitIdenticalToSequentialAllBackends)
 {
     const TestTask t = makeTask(300, 40, 16, 24);

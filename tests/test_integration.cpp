@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "attention/approx_attention.hpp"
 #include "attention/quantized.hpp"
 #include "attention/reference.hpp"
 #include "harness/accuracy.hpp"
@@ -43,9 +44,15 @@ TEST(Integration, WorkloadThroughHostInterfaceScoresLikeDirectRun)
         ASSERT_TRUE(output.has_value());
 
         // The device returns the quantized pipeline's output; score
-        // the retrieval by recomputing weights from the same datapath.
-        const AttentionResult direct = device.datapath().run(
-            task.key, task.value, task.queries[0]);
+        // the retrieval by recomputing weights on a datapath bound
+        // independently at the device's input format.
+        EngineConfig quantized;
+        quantized.kind = EngineKind::ExactQuantized;
+        quantized.intBits = cfg.intBits;
+        quantized.fracBits = cfg.fracBits;
+        const AttentionResult direct =
+            makeBackend(quantized, task.key, task.value)
+                ->run(task.queries[0]);
         EXPECT_EQ(*output, direct.output);
         viaLinkScore +=
             argmaxAccuracy(direct.weights, task.relevant[0]);
@@ -64,19 +71,26 @@ TEST(Integration, FloatAndQuantizedApproxSelectSameCandidates)
     // Candidate selection runs pre-quantization in both flows, so the
     // candidate sets are identical; post-scoring may differ by rows
     // whose fixed-point score sits within an LSB of the threshold.
+    EngineConfig floatFlow;
+    floatFlow.kind = EngineKind::ApproxFloat;
+    floatFlow.approx = ApproxConfig::conservative();
+    EngineConfig quantizedFlow = floatFlow;
+    quantizedFlow.kind = EngineKind::ApproxQuantized;
+    quantizedFlow.intBits = 4;
+    quantizedFlow.fracBits = 8;
     WikiMoviesLikeWorkload workload;
     Rng rng(9601);
     for (int e = 0; e < 10; ++e) {
         const AttentionTask task = workload.sample(rng);
-        const ApproxAttention engine(task.key, task.value,
-                                     ApproxConfig::conservative());
-        const AttentionResult fl = engine.run(task.queries[0]);
-
-        QuantizedAttention datapath(4, 8, task.key.rows(),
-                                    task.key.cols());
-        const CandidateSearchResult search =
-            engine.selectCandidates(task.queries[0]);
-        EXPECT_EQ(fl.candidates, search.candidates);
+        const AttentionResult fl =
+            makeBackend(floatFlow, task.key, task.value)
+                ->run(task.queries[0]);
+        const AttentionResult qu =
+            makeBackend(quantizedFlow, task.key, task.value)
+                ->run(task.queries[0]);
+        ASSERT_FALSE(fl.candidates.empty());
+        EXPECT_EQ(fl.candidates, qu.candidates);
+        EXPECT_EQ(fl.iterations, qu.iterations);
     }
 }
 
@@ -134,8 +148,8 @@ TEST(Integration, HarnessEnginesAgreeOnEasyEpisodes)
         const ApproxAttention approx(ep.key, ep.value,
                                      ApproxConfig::conservative());
         const AttentionResult ap = approx.run(ep.query);
-        QuantizedAttention q(4, 4, 24, 64);
-        const AttentionResult qr = q.run(ep.key, ep.value, ep.query);
+        const QuantizedAttention q(ep.key, ep.value, 4, 4);
+        const AttentionResult qr = q.run(ep.query);
         const auto top = [](const Vector &w) {
             return topKIndices(w, 1)[0];
         };

@@ -46,8 +46,8 @@ TEST(QuantizedAttention, WeightsApproximatelySumToOne)
 {
     Rng rng(5000);
     const RandomTask t = makeTask(rng, 30, 16);
-    const QuantizedAttention qa(4, 4, 30, 16);
-    const AttentionResult r = qa.run(t.key, t.value, t.query);
+    const QuantizedAttention qa(t.key, t.value, 4, 4);
+    const AttentionResult r = qa.run(t.query);
     float sum = 0.0f;
     for (float w : r.weights)
         sum += w;
@@ -59,8 +59,8 @@ TEST(QuantizedAttention, MatchesReferenceWithinBoundAtF8)
 {
     Rng rng(5001);
     const RandomTask t = makeTask(rng, 20, 16);
-    const QuantizedAttention qa(4, 8, 20, 16);
-    const AttentionResult q = qa.run(t.key, t.value, t.query);
+    const QuantizedAttention qa(t.key, t.value, 4, 8);
+    const AttentionResult q = qa.run(t.query);
     const AttentionResult ref =
         referenceAttention(t.key, t.value, t.query);
     EXPECT_LT(maxAbsDiff(q.output, ref.output), 0.05f);
@@ -75,8 +75,8 @@ TEST(QuantizedAttention, ErrorDecreasesWithFractionBits)
         Rng trialRng = rng.split();
         for (int trial = 0; trial < 10; ++trial) {
             const RandomTask t = makeTask(trialRng, 24, 16);
-            const QuantizedAttention qa(4, f, 24, 16);
-            const AttentionResult q = qa.run(t.key, t.value, t.query);
+            const QuantizedAttention qa(t.key, t.value, 4, f);
+            const AttentionResult q = qa.run(t.query);
             const AttentionResult ref =
                 referenceAttention(t.key, t.value, t.query);
             worst = std::max(
@@ -94,9 +94,10 @@ TEST(QuantizedAttention, SubsetRunNormalizesOverSubset)
 {
     Rng rng(5003);
     const RandomTask t = makeTask(rng, 16, 8);
-    const QuantizedAttention qa(4, 6, 16, 8);
+    const QuantizedAttention qa(t.key, t.value, 4, 6);
     const std::vector<std::uint32_t> rows{2, 5, 11};
-    const AttentionResult r = qa.run(t.key, t.value, t.query, rows);
+    AttentionResult r;
+    qa.runRowsInto(t.query, rows, r);
     float sum = 0.0f;
     for (std::size_t row = 0; row < 16; ++row) {
         const bool in = std::find(rows.begin(), rows.end(),
@@ -130,8 +131,8 @@ TEST(QuantizedAttention, ExtremeInputsDoNotOverflow)
     for (std::size_t c = 0; c < d; ++c)
         query[c] = (c % 3) ? -16.0f : 15.9375f;
 
-    const QuantizedAttention qa(4, 4, n, d);
-    const AttentionResult r = qa.run(key, value, query);
+    const QuantizedAttention qa(key, value, 4, 4);
+    const AttentionResult r = qa.run(query);
     EXPECT_EQ(r.output.size(), d);
     for (float o : r.output) {
         EXPECT_GE(o, -16.0f - 1e-3f);
@@ -151,8 +152,8 @@ TEST(QuantizedAttention, TopWeightRowAgreesWithReference)
         // Plant a clear winner.
         for (std::size_t c = 0; c < 16; ++c)
             t.key(7, c) = t.query[c] * 0.5f;
-        const QuantizedAttention qa(4, 4, 20, 16);
-        const AttentionResult q = qa.run(t.key, t.value, t.query);
+        const QuantizedAttention qa(t.key, t.value, 4, 4);
+        const AttentionResult q = qa.run(t.query);
         const AttentionResult ref =
             referenceAttention(t.key, t.value, t.query);
         std::size_t qTop = 0;
@@ -170,7 +171,7 @@ TEST(QuantizedAttention, TopWeightRowAgreesWithReference)
 
 TEST(QuantizedAttention, FormatsExposedMatchDerivation)
 {
-    const QuantizedAttention qa(4, 4, 320, 64);
+    const QuantizedAttention qa(Matrix(320, 64), Matrix(320, 64), 4, 4);
     EXPECT_EQ(qa.formats().dotProduct.str(), "Q14.8");
     EXPECT_EQ(qa.formats().output.str(), "Q13.12");
     EXPECT_EQ(qa.expLut().outputFormat().str(), "Q0.8");
@@ -180,9 +181,9 @@ TEST(QuantizedAttention, DeterministicAcrossRuns)
 {
     Rng rng(5005);
     const RandomTask t = makeTask(rng, 12, 8);
-    const QuantizedAttention qa(4, 4, 12, 8);
-    const AttentionResult a = qa.run(t.key, t.value, t.query);
-    const AttentionResult b = qa.run(t.key, t.value, t.query);
+    const QuantizedAttention qa(t.key, t.value, 4, 4);
+    const AttentionResult a = qa.run(t.query);
+    const AttentionResult b = qa.run(t.query);
     EXPECT_EQ(a.output, b.output);
     EXPECT_EQ(a.weights, b.weights);
 }
@@ -258,20 +259,6 @@ TEST(QuantizedPacked, PackedBitIdenticalToWord32)
                                    packed.run(probe.query));
             }
         }
-    }
-}
-
-TEST(QuantizedPacked, BoundPackedMatchesUnboundPipeline)
-{
-    Rng rng(5101);
-    const RandomTask t = makeTask(rng, 24, 15);
-    for (const PackedCase &pc : kPackedCases) {
-        const QuantizedAttention unbound(pc.intBits, pc.fracBits, 24,
-                                         15);
-        const QuantizedAttention bound(t.key, t.value, pc.intBits,
-                                       pc.fracBits);
-        expectBitIdentical(unbound.run(t.key, t.value, t.query),
-                           bound.run(t.query));
     }
 }
 

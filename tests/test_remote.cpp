@@ -1081,8 +1081,12 @@ TEST(RemoteFaultToleranceTest, MalformedRepliesEscalateAndStayExact)
             sharded.runInto(query, want, cases[c].detail);
             expectBitIdentical(got, want);
         }
+        // Shards 0 and 2 sit on worker 0; each is rebound once, onto
+        // worker 1 (never back onto worker 0, whose reply just
+        // failed), and answered there by one failover query.
         const RemoteCoordinatorStats stats = remote.stats();
-        EXPECT_GT(stats.rebinds, 0u);
+        EXPECT_EQ(stats.rebinds, 2u);
+        EXPECT_EQ(stats.failovers, 2u);
         EXPECT_EQ(stats.localFallbacks, 0u);
     }
 }

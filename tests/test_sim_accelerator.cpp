@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "attention/candidate_search.hpp"
 #include "attention/post_scoring.hpp"
+#include "attention/quantized.hpp"
 #include "sim/accelerator.hpp"
 #include "util/random.hpp"
 
@@ -96,11 +100,11 @@ TEST(BaseA3, OutputsMatchFixedPointDatapath)
     A3Accelerator acc(baseConfig(24, 64));
     acc.loadTask(t.key, t.value);
     acc.runAll(t.queries);
+    const QuantizedAttention datapath(t.key, t.value, 4, 4);
     for (std::size_t i = 0; i < t.queries.size(); ++i) {
         auto out = acc.popOutput();
         ASSERT_TRUE(out.has_value());
-        const AttentionResult expected =
-            acc.datapath().run(t.key, t.value, t.queries[i]);
+        const AttentionResult expected = datapath.run(t.queries[i]);
         EXPECT_EQ(out->result.output, expected.output);
         EXPECT_EQ(out->id, i);
     }
@@ -202,25 +206,31 @@ TEST(ApproxA3, OutputsMatchQuantizedSubsetFlow)
         approxConfig(64, 64, ApproxConfig::conservative()));
     acc.loadTask(t.key, t.value);
     acc.runAll(t.queries);
+    // Recompute the expected flow by hand from its parts: greedy
+    // search on the sorted key, quantized scores of the candidates,
+    // post-scoring, and the final pass over the survivors.
+    const ApproxConfig approx = ApproxConfig::conservative();
+    const SortedKey sorted = SortedKey::build(t.key);
+    const QuantizedAttention datapath(t.key, t.value, 4, 4);
     for (std::size_t i = 0; i < t.queries.size(); ++i) {
         auto out = acc.popOutput();
         ASSERT_TRUE(out.has_value());
-        // Recompute the expected flow by hand.
-        ApproxAttention task(t.key, t.value,
-                             ApproxConfig::conservative());
-        auto search = task.selectCandidates(t.queries[i]);
+        const CandidateSearchResult search = efficientGreedySearch(
+            sorted, t.queries[i], approx.iterationsFor(64),
+            approx.skipHeuristic);
         ASSERT_FALSE(search.candidates.empty());
-        auto pass = acc.datapath().run(t.key, t.value, t.queries[i],
-                                       search.candidates);
+        AttentionResult pass;
+        datapath.runRowsInto(t.queries[i], search.candidates, pass);
         Vector scores(search.candidates.size());
         for (std::size_t j = 0; j < search.candidates.size(); ++j)
             scores[j] = pass.scores[search.candidates[j]];
-        auto kept = postScoringSelect(
-            search.candidates, scores,
-            ApproxConfig::conservative().scoreGap());
-        auto expected =
-            acc.datapath().run(t.key, t.value, t.queries[i], kept);
+        const std::vector<std::uint32_t> kept = postScoringSelect(
+            search.candidates, scores, approx.scoreGap());
+        AttentionResult expected;
+        datapath.runRowsInto(t.queries[i], kept, expected);
         EXPECT_EQ(out->result.output, expected.output);
+        EXPECT_EQ(out->iterM, approx.iterationsFor(64));
+        EXPECT_EQ(out->candidatesC, search.candidates.size());
         EXPECT_EQ(out->keptK, kept.size());
     }
 }
@@ -278,6 +288,75 @@ TEST(Accelerator, QueueDrainsInFifoOrder)
     while (auto out = acc.popOutput())
         EXPECT_EQ(out->id, expected++);
     EXPECT_EQ(expected, 6u);
+}
+
+// ---------------------------------------------------------------------
+// Golden runs: fixed seeds pin the cycle count, the work sizes and the
+// exact output bits, so any change to the simulator's functional or
+// timing model shows up here even when every formula test still holds.
+// ---------------------------------------------------------------------
+
+/** Expected figures of a six-query run; C and K as per-run sums. */
+struct Golden
+{
+    Cycle totalCycles;
+    std::size_t candidateSum;
+    std::size_t keptSum;
+    std::uint64_t outputHash;
+};
+
+/** FNV-1a over the float bits of every output, in completion order. */
+std::uint64_t
+hashOutputs(A3Accelerator &acc)
+{
+    std::uint64_t hash = 14695981039346656037ull;
+    while (auto out = acc.popOutput()) {
+        for (float x : out->result.output) {
+            std::uint32_t bits = 0;
+            std::memcpy(&bits, &x, sizeof bits);
+            for (int byte = 0; byte < 4; ++byte) {
+                hash ^= (bits >> (8 * byte)) & 0xffu;
+                hash *= 1099511628211ull;
+            }
+        }
+    }
+    return hash;
+}
+
+void
+expectGolden(const SimConfig &cfg, std::size_t rows, std::uint64_t seed,
+             const Golden &want)
+{
+    Rng rng(seed);
+    const RandomTask t = makeTask(rng, rows, cfg.dims, 6);
+    A3Accelerator acc(cfg);
+    acc.loadTask(t.key, t.value);
+    const RunStats stats = acc.runAll(t.queries);
+    ASSERT_EQ(stats.queries, 6u);
+    EXPECT_EQ(stats.totalCycles, want.totalCycles);
+    EXPECT_EQ(stats.avgCandidates,
+              static_cast<double>(want.candidateSum) / 6.0);
+    EXPECT_EQ(stats.avgKept, static_cast<double>(want.keptSum) / 6.0);
+    EXPECT_EQ(hashOutputs(acc), want.outputHash);
+}
+
+TEST(SimGolden, BaseModeSpillsToDram)
+{
+    // 100 rows on a 64-row SRAM: 36 rows stream from DRAM.
+    expectGolden(baseConfig(64, 64), 100, 6020,
+                 {1124, 600, 600, 0xeda757b463e32168ull});
+}
+
+TEST(SimGolden, ApproxConservative)
+{
+    expectGolden(approxConfig(128, 64, ApproxConfig::conservative()),
+                 128, 6021, {541, 256, 9, 0xf41ce88dd78218f0ull});
+}
+
+TEST(SimGolden, ApproxAggressive)
+{
+    expectGolden(approxConfig(128, 64, ApproxConfig::aggressive()),
+                 128, 6022, {220, 88, 12, 0x21cdb86215a3d01aull});
 }
 
 }  // namespace
