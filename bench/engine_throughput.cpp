@@ -80,22 +80,27 @@ now()
         .count();
 }
 
+/** Time one request group (built by the caller, outside the timed
+ *  loop) through the engine's batch path. */
 SweepRow
-measure(const AttentionEngine &engine, const AttentionBackend &backend,
-        const std::string &kvFormat, const std::vector<Vector> &queries,
-        std::size_t repeats)
+measure(const AttentionEngine &engine,
+        const std::vector<AttentionRequestGroup> &batch,
+        const std::string &kvFormat, std::size_t repeats)
 {
+    const AttentionBackend &backend = *batch.front().backend;
+    const std::vector<Vector> &queries = batch.front().queries;
     // Warm-up pass: pulls the task into cache, spins the pool up, and
-    // grows every lane's Scratch arena to task size.
-    engine.run(backend, queries);
+    // grows every lane's Scratch arena and the result slots to task
+    // size.
+    std::vector<std::vector<AttentionResult>> results;
+    engine.runGroupsInto(batch, results);
 
     RunningStat batchSeconds;
     for (std::size_t r = 0; r < repeats; ++r) {
         const double start = now();
-        const std::vector<AttentionResult> results =
-            engine.run(backend, queries);
+        engine.runGroupsInto(batch, results);
         batchSeconds.add(now() - start);
-        if (results.size() != queries.size())
+        if (results.front().size() != queries.size())
             fatal("engine dropped results");
     }
 
@@ -221,12 +226,13 @@ main(int argc, char **argv)
             for (std::size_t threads : threadCounts) {
                 const AttentionEngine engine(threads);
                 for (std::size_t batch : batches) {
-                    const std::vector<Vector> queries(
+                    std::vector<AttentionRequestGroup> group(1);
+                    group[0].backend = entry.backend;
+                    group[0].queries.assign(
                         pool.begin(),
                         pool.begin() + static_cast<long>(batch));
-                    rows.push_back(measure(engine, *entry.backend,
-                                           entry.kvFormat, queries,
-                                           repeats));
+                    rows.push_back(measure(engine, group,
+                                           entry.kvFormat, repeats));
                 }
             }
         }

@@ -135,13 +135,17 @@ BM_EngineBatch(benchmark::State &state)
     const ApproxAttention backend(f.key, f.value,
                                   ApproxConfig::conservative());
     Rng rng(7);
-    std::vector<Vector> batch(64, f.query);
-    for (auto &q : batch)
+    std::vector<AttentionRequestGroup> batch(1);
+    batch[0].backend = &backend;
+    batch[0].queries.assign(64, f.query);
+    for (auto &q : batch[0].queries)
         for (auto &x : q)
             x += 0.05f * static_cast<float>(rng.normal());
+    std::vector<std::vector<AttentionResult>> results;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            AttentionEngine::shared().run(backend, batch));
+        AttentionEngine::shared().runGroupsInto(batch, results);
+        benchmark::DoNotOptimize(results.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) * 64);

@@ -102,12 +102,16 @@ measureEngineQps(const AttentionEngine &engine,
                  const std::vector<Vector> &queries,
                  std::size_t repeats)
 {
-    std::vector<AttentionResult> out;
-    engine.runInto(backend, queries, out);  // warm-up
+    // The group is built once, outside the timed loop.
+    std::vector<AttentionRequestGroup> groups(1);
+    groups[0].backend = &backend;
+    groups[0].queries = queries;
+    std::vector<std::vector<AttentionResult>> out;
+    engine.runGroupsInto(groups, out);  // warm-up
     RunningStat seconds;
     for (std::size_t r = 0; r < repeats; ++r) {
         const double start = now();
-        engine.runInto(backend, queries, out);
+        engine.runGroupsInto(groups, out);
         seconds.add(now() - start);
     }
     return static_cast<double>(queries.size()) / seconds.min();

@@ -72,12 +72,15 @@ main()
     // 4. Batched serving: the same preprocessed task answers a whole
     //    batch of queries through the shared AttentionEngine, fanned
     //    out over its thread pool with results in request order.
-    std::vector<Vector> batch(4, query);
-    for (std::size_t i = 1; i < batch.size(); ++i)
-        for (auto &x : batch[i])
+    std::vector<AttentionRequestGroup> batch(1);
+    batch[0].backend = &engine;
+    batch[0].queries.assign(4, query);
+    for (std::size_t i = 1; i < batch[0].queries.size(); ++i)
+        for (auto &x : batch[0].queries[i])
             x += 0.05f * static_cast<float>(rng.normal());
-    const std::vector<AttentionResult> answers =
-        AttentionEngine::shared().run(engine, batch);
+    std::vector<std::vector<AttentionResult>> results;
+    AttentionEngine::shared().runGroupsInto(batch, results);
+    const std::vector<AttentionResult> &answers = results[0];
     std::printf("engine: answered a batch of %zu queries over %zu "
                 "thread(s);\n        batch[0] output matches the "
                 "single-query run bit for bit: %s\n",

@@ -57,19 +57,6 @@ QuantizedAttention::packRows(const Matrix &keyRows,
 {
     const FixedFormat inFmt = formats_.input;
     const std::size_t d = dims_;
-    if (packed_ != PackedKvFormat::Word32) {
-        // Every row shares the symmetric quantizer's resolution today;
-        // stored per row so the dequant path already consumes the
-        // layout a per-row-range scheme would produce. Word32 keeps no
-        // scale metadata: the legacy layout is preserved exactly.
-        const float scale = static_cast<float>(inFmt.resolution());
-        keyScale_.reserve(keyScale_.size() + count);
-        valueScale_.reserve(valueScale_.size() + count);
-        for (std::size_t r = 0; r < count; ++r) {
-            keyScale_.push_back(scale);
-            valueScale_.push_back(scale);
-        }
-    }
     switch (packed_) {
     case PackedKvFormat::Word32:
         keyQ_.reserve(keyQ_.size() + count * d);
@@ -143,7 +130,7 @@ QuantizedAttention::append(const Matrix &keyRows, const Matrix &valueRows)
 std::unique_ptr<AttentionBackend>
 QuantizedAttention::clone() const
 {
-    // Member-wise copy: lanes, scales, formats, and the LUT are all
+    // Member-wise copy: lanes, formats, and the LUT are all
     // plain values, so the clone is bit-identical in queries.
     return std::unique_ptr<AttentionBackend>(
         new QuantizedAttention(*this));
@@ -165,8 +152,6 @@ QuantizedAttention::compact()
     shrink(valueQ8_);
     shrink(keyQ4_);
     shrink(valueQ4_);
-    shrink(keyScale_);
-    shrink(valueScale_);
     return reclaimed;
 }
 
@@ -176,8 +161,6 @@ QuantizedAttention::serializeState(WireWriter &out) const
     out.u64(boundRows_);
     out.u64(dims_);
     out.u8(static_cast<std::uint8_t>(packed_));
-    out.floats(keyScale_.data(), keyScale_.size());
-    out.floats(valueScale_.data(), valueScale_.size());
     switch (packed_) {
     case PackedKvFormat::Word32:
         // int32 words travel as their two's-complement bit patterns.
@@ -224,15 +207,10 @@ QuantizedAttention::restore(const EngineConfig &config, WireReader &in)
         static_cast<std::size_t>(rows),
         static_cast<std::size_t>(dims)));
     backend->packed_ = expected;
-    in.floats(backend->keyScale_);
-    in.floats(backend->valueScale_);
 
     const std::size_t n = static_cast<std::size_t>(rows);
     const std::size_t d = static_cast<std::size_t>(dims);
-    const std::size_t scaleCount =
-        expected == PackedKvFormat::Word32 ? 0 : n;
-    if (!in.ok() || backend->keyScale_.size() != scaleCount ||
-        backend->valueScale_.size() != scaleCount)
+    if (!in.ok())
         return nullptr;
 
     std::size_t laneCount = 0;
@@ -297,13 +275,9 @@ QuantizedAttention::restore(const EngineConfig &config, WireReader &in)
 std::size_t
 QuantizedAttention::memoryBytes() const
 {
-    const std::size_t lanes =
-        (keyQ_.size() + valueQ_.size()) * sizeof(std::int32_t) +
-        (keyQ8_.size() + valueQ8_.size()) * sizeof(std::int8_t) +
-        (keyQ4_.size() + valueQ4_.size()) * sizeof(std::uint8_t);
-    const std::size_t scales =
-        (keyScale_.size() + valueScale_.size()) * sizeof(float);
-    return lanes + scales;
+    return (keyQ_.size() + valueQ_.size()) * sizeof(std::int32_t) +
+           (keyQ8_.size() + valueQ8_.size()) * sizeof(std::int8_t) +
+           (keyQ4_.size() + valueQ4_.size()) * sizeof(std::uint8_t);
 }
 
 void
@@ -428,24 +402,17 @@ QuantizedAttention::runCore(const Vector &query,
     std::vector<std::int64_t> &outQ = scratch.outQ;
     outQ.assign(d, 0);
     const std::size_t rowBytes4 = (d + 1) / 2;
-    const double queryScale = inFmt.resolution();
     for (std::size_t i = 0; i < m; ++i) {
         const std::uint32_t r = rows[i];
         const FixedValue scoreV{scoreQ[i], formats_.score};
         const FixedValue weightV =
             divide(scoreV, expSumV, formats_.weight.intBits,
                    formats_.weight.fracBits);
-        // Packed rows dequantize through the per-row scale metadata;
-        // the scales are powers of two, so the product double(raw) *
-        // keyScale * queryScale is exact and bit-identical to the
-        // dotProduct format's own toDouble().
+        // Packed and Word32 lanes accumulate the same raw dot
+        // product, so one dequantization serves both layouts.
         if (full) {
-            result.scores[r] =
-                packedLanes
-                    ? static_cast<float>(static_cast<double>(dotQ[i]) *
-                                         keyScale_[r] * queryScale)
-                    : static_cast<float>(
-                          formats_.dotProduct.toDouble(dotQ[i]));
+            result.scores[r] = static_cast<float>(
+                formats_.dotProduct.toDouble(dotQ[i]));
             result.weights[r] = static_cast<float>(weightV.toDouble());
         }
         if (packedLanes) {

@@ -74,9 +74,9 @@ class QuantizedAttention final : public AttentionBackend
 
     /**
      * Bytes of the quantized key/value SRAM lanes in the resolved
-     * packed layout, plus the per-row scale metadata. This is the
-     * figure SessionCache budgets and ShardedBackend aggregation see,
-     * so packing directly multiplies session capacity.
+     * packed layout. This is the figure SessionCache budgets and
+     * ShardedBackend aggregation see, so packing directly multiplies
+     * session capacity.
      */
     std::size_t memoryBytes() const override;
 
@@ -101,19 +101,6 @@ class QuantizedAttention final : public AttentionBackend
     /** Resolved K/V lane layout. */
     PackedKvFormat packedFormat() const { return packed_; }
 
-    /**
-     * Per-row dequantization scales of the packed key rows (empty in
-     * Word32 layout). Quantization is symmetric, so the zero point is
-     * implicitly 0 and a lane dequantizes as raw * scale. Today every
-     * row shares the input format's resolution; the layout is per-row
-     * so a future per-row-range scheme drops in without touching the
-     * kernels.
-     */
-    const std::vector<float> &keyScales() const { return keyScale_; }
-
-    /** Per-row dequantization scales of the packed value rows. */
-    const std::vector<float> &valueScales() const { return valueScale_; }
-
     /** Derived per-stage formats (Section III-B). */
     const PipelineFormats &formats() const { return formats_; }
 
@@ -124,7 +111,7 @@ class QuantizedAttention final : public AttentionBackend
     bool serializable() const override { return true; }
 
     /**
-     * The packed lanes and per-row scales verbatim — the on-disk
+     * The packed lanes verbatim — the on-disk
      * image is the in-memory SRAM image, so restore() skips
      * re-quantization entirely. The formats and exponent LUT
      * are not serialized: both derive deterministically from
@@ -177,9 +164,6 @@ class QuantizedAttention final : public AttentionBackend
     /** Nibble-packed int4 lanes, (dims + 1) / 2 bytes per row. */
     std::vector<std::uint8_t> keyQ4_;
     std::vector<std::uint8_t> valueQ4_;
-    /** Per-row dequantization scales (packed layouts only). */
-    std::vector<float> keyScale_;
-    std::vector<float> valueScale_;
     PackedKvFormat packed_ = PackedKvFormat::Word32;
     std::size_t boundRows_ = 0;
 };

@@ -12,136 +12,99 @@ namespace a3 {
 
 namespace {
 
-/**
- * One borrowed group of a flattened pass: the backend, its queries,
- * and the result slots they answer into. runInto() and
- * runGroupsInto() both reduce to a span of these, so the single-
- * backend and multi-group entry points share one execution core.
- */
-struct GroupView
+/** One entry of the flattened work list: unit `unit` of query
+ *  `query` of group `group`. */
+struct WorkUnit
 {
-    const AttentionBackend *backend = nullptr;
-    const std::vector<Vector> *queries = nullptr;
-    std::vector<AttentionResult> *results = nullptr;
-    ResultDetail detail = ResultDetail::Full;
+    std::uint32_t group;
+    std::uint32_t query;
+    std::uint32_t unit;
 };
 
 /**
- * The flattened execution core: decompose every (group, query) into
- * the backend's work units (workUnitCount() — one per shard for a
- * sharded backend, one total for a plain one), run all units of the
- * whole batch on one work list, and have the lane that finishes a
- * query's last unit merge its partials serially in unit order
- * (mergeUnitsInto). Single-unit queries take the backend's
- * runInto() directly — the same answer as its one unit merged, with
- * no partial slot. Either way results are bit-identical to
- * sequential run() calls for every kind. No backend ever borrows a
- * nested pool: shard partials from many queries share these lanes.
+ * A calling thread's reusable runGroupsInto() state. Every buffer
+ * grows to the largest batch seen and never shrinks, so a serving
+ * loop's steady-state pass allocates nothing: the partial slots keep
+ * their buffers from pass to pass (a slot regrows only when its
+ * query's unit count changes). Pool lanes reach it through the
+ * pass's one pointer, never through their own thread_local.
  */
-void
-runFlattened(const ThreadPool &pool,
-             const std::vector<GroupView> &views,
-             const GroupCompletionHook &onGroupDone)
+struct FlattenScratch
 {
-    struct WorkUnit
-    {
-        std::uint32_t group;
-        std::uint32_t query;
-        std::uint32_t unit;
-    };
-
-    std::size_t maxQueries = 0;
-    std::size_t totalUnits = 0;
-    std::vector<std::size_t> unitCount(views.size());
+    /** Work units per query of each group. */
+    std::vector<std::size_t> unitCount;
     /** Flat query index: queryBase[g] + q addresses the partial
      *  slots and unit countdown of (g, q). */
-    std::vector<std::size_t> queryBase(views.size() + 1, 0);
-    for (std::size_t g = 0; g < views.size(); ++g) {
-        const GroupView &view = views[g];
-        a3Assert(view.backend != nullptr,
-                 "request group ", g, " has no backend");
-        view.results->resize(view.queries->size());
-        unitCount[g] = view.backend->workUnitCount();
-        a3Assert(unitCount[g] > 0,
-                 "backend of group ", g, " reports zero work units");
-        maxQueries = std::max(maxQueries, view.queries->size());
-        totalUnits += unitCount[g] * view.queries->size();
-        queryBase[g + 1] = queryBase[g] + view.queries->size();
-    }
-
-    // Round-robin batch formation at query granularity: every unit
-    // of query q of every group lands in the list before query q+1
-    // of any, so a huge group cannot monopolize the first lanes and
-    // every group's per-query cost is spread evenly across the pass.
-    // Units of one query stay adjacent, keeping a query's shard
-    // passes temporally close (their merge runs as soon as the last
-    // one lands). The interleave only reorders which lane picks up
-    // which unit — the merge order is fixed — so results are
-    // bit-identical to any other order.
+    std::vector<std::size_t> queryBase;
     std::vector<WorkUnit> work;
-    work.reserve(totalUnits);
-    for (std::size_t q = 0; q < maxQueries; ++q)
-        for (std::size_t g = 0; g < views.size(); ++g)
-            if (q < views[g].queries->size())
-                for (std::size_t u = 0; u < unitCount[g]; ++u)
-                    work.push_back({static_cast<std::uint32_t>(g),
-                                    static_cast<std::uint32_t>(q),
-                                    static_cast<std::uint32_t>(u)});
+    /** Per flat query: a multi-unit query's partial slots. */
+    std::vector<std::vector<PartialResult>> partials;
+    /** Per flat query: units still running (multi-unit only). */
+    std::vector<std::atomic<std::size_t>> unitsLeft;
+    /** Per group: queries still running (only with a hook). */
+    std::vector<std::atomic<std::size_t>> queriesLeft;
+    /** Set while a pass runs, to catch re-entry on one thread. */
+    bool inUse = false;
+};
 
-    // Per-query partial slots and unit countdowns, only materialized
-    // for multi-unit groups; the lane that takes a query's counter
-    // to zero saw every other lane's partial (acq_rel) and owns the
-    // serial merge.
-    const std::size_t totalQueries = queryBase.back();
-    std::vector<std::vector<PartialResult>> partials(totalQueries);
-    std::vector<std::atomic<std::size_t>> unitsLeft(totalQueries);
-    for (std::size_t g = 0; g < views.size(); ++g) {
-        if (unitCount[g] == 1)
-            continue;
-        for (std::size_t q = 0; q < views[g].queries->size(); ++q) {
-            const std::size_t f = queryBase[g] + q;
-            partials[f].resize(unitCount[g]);
-            unitsLeft[f].store(unitCount[g],
-                               std::memory_order_relaxed);
-        }
+/** Grow a countdown array to at least n slots. Atomics cannot be
+ *  moved, so a short array is replaced instead of resized. */
+void
+growCountdowns(std::vector<std::atomic<std::size_t>> &counts,
+               std::size_t n)
+{
+    if (counts.size() < n)
+        counts = std::vector<std::atomic<std::size_t>>(n);
+}
+
+/** What every lane of one pass reads. The parallelFor body captures
+ *  only a pointer to it, so std::function stores the closure inline
+ *  instead of allocating. */
+struct Pass
+{
+    const std::vector<AttentionRequestGroup> &groups;
+    std::vector<std::vector<AttentionResult>> &results;
+    FlattenScratch &scratch;
+    const GroupCompletionHook &onGroupDone;
+    std::chrono::steady_clock::time_point start;
+};
+
+/**
+ * Run work item i. A single-unit query is its backend's own
+ * runInto(); a multi-unit query's lanes each fill one partial slot,
+ * and the lane that takes the query's countdown to zero saw every
+ * other lane's partial (acq_rel) and merges them serially in unit
+ * order (mergeUnitsInto). Either way the result is bit-identical to
+ * a sequential runInto() call. The lane that takes a group's
+ * countdown to zero finished its last query and owns the group's
+ * one completion report.
+ */
+void
+runWorkUnit(const Pass &pass, std::size_t i)
+{
+    FlattenScratch &s = pass.scratch;
+    const WorkUnit &item = s.work[i];
+    const AttentionRequestGroup &group = pass.groups[item.group];
+    const Vector &query = group.queries[item.query];
+    AttentionResult &slot = pass.results[item.group][item.query];
+    if (s.unitCount[item.group] == 1) {
+        group.backend->runInto(query, slot, group.detail);
+    } else {
+        const std::size_t f = s.queryBase[item.group] + item.query;
+        group.backend->runUnitPartialInto(
+            item.unit, query, s.partials[f][item.unit], group.detail);
+        if (s.unitsLeft[f].fetch_sub(1, std::memory_order_acq_rel) !=
+            1)
+            return;
+        group.backend->mergeUnitsInto(s.partials[f], slot);
     }
-
-    // Per-group countdowns for the completion hook: the lane that
-    // takes a group's counter to zero finished its last query and
-    // owns the single report for that group.
-    std::vector<std::atomic<std::size_t>> remaining(
-        onGroupDone ? views.size() : 0);
-    for (std::size_t g = 0; g < remaining.size(); ++g)
-        remaining[g].store(views[g].queries->size(),
-                           std::memory_order_relaxed);
-    const auto passStart = std::chrono::steady_clock::now();
-
-    pool.parallelFor(work.size(), [&](std::size_t i) {
-        const WorkUnit &item = work[i];
-        const GroupView &view = views[item.group];
-        const Vector &query = (*view.queries)[item.query];
-        AttentionResult &slot = (*view.results)[item.query];
-        if (unitCount[item.group] == 1) {
-            // A single unit is the backend's own runInto().
-            view.backend->runInto(query, slot, view.detail);
-        } else {
-            const std::size_t f = queryBase[item.group] + item.query;
-            view.backend->runUnitPartialInto(item.unit, query,
-                                             partials[f][item.unit],
-                                             view.detail);
-            if (unitsLeft[f].fetch_sub(
-                    1, std::memory_order_acq_rel) != 1)
-                return;
-            view.backend->mergeUnitsInto(partials[f], slot);
-        }
-        if (onGroupDone &&
-            remaining[item.group].fetch_sub(
-                1, std::memory_order_acq_rel) == 1) {
-            const std::chrono::duration<double> elapsed =
-                std::chrono::steady_clock::now() - passStart;
-            onGroupDone(item.group, elapsed.count());
-        }
-    });
+    if (pass.onGroupDone &&
+        s.queriesLeft[item.group].fetch_sub(
+            1, std::memory_order_acq_rel) == 1) {
+        const std::chrono::duration<double> elapsed =
+            std::chrono::steady_clock::now() - pass.start;
+        pass.onGroupDone(item.group, elapsed.count());
+    }
 }
 
 }  // namespace
@@ -153,48 +116,12 @@ AttentionEngine::AttentionEngine(std::size_t threads) : pool_(threads)
 AttentionEngine &
 AttentionEngine::shared()
 {
-    static AttentionEngine engine;
+    // Never destroyed: a process that exits from a forked child (a
+    // death test, fatal() after fork()) would otherwise run
+    // ~ThreadPool there and join worker threads that fork() did not
+    // copy.
+    static AttentionEngine &engine = *new AttentionEngine;
     return engine;
-}
-
-std::vector<AttentionResult>
-AttentionEngine::run(const AttentionBackend &backend,
-                     const std::vector<Vector> &queries) const
-{
-    std::vector<AttentionResult> results;
-    runInto(backend, queries, results);
-    return results;
-}
-
-void
-AttentionEngine::runInto(const AttentionBackend &backend,
-                         const std::vector<Vector> &queries,
-                         std::vector<AttentionResult> &results) const
-{
-    results.resize(queries.size());
-    if (backend.workUnitCount() == 1) {
-        // Single-unit fast path: one query per pool job, no work
-        // list. One-pointer capture so the closure fits
-        // std::function's small-object buffer; each lane writes only
-        // its own slot through its own thread-local Scratch arena.
-        // With a reused `results` vector the whole batch is
-        // allocation-free in steady state.
-        struct Ctx
-        {
-            const AttentionBackend *backend;
-            const std::vector<Vector> *queries;
-            std::vector<AttentionResult> *results;
-        } ctx{&backend, &queries, &results};
-        pool_.parallelFor(queries.size(), [&ctx](std::size_t i) {
-            ctx.backend->runInto((*ctx.queries)[i], (*ctx.results)[i]);
-        });
-        return;
-    }
-    // Multi-unit backend (a sharded session): flatten every (query,
-    // shard) unit of the batch into one work list so shard partials
-    // from all the queries share the pool lanes.
-    const std::vector<GroupView> views{{&backend, &queries, &results}};
-    runFlattened(pool_, views, GroupCompletionHook());
 }
 
 void
@@ -203,12 +130,80 @@ AttentionEngine::runGroupsInto(
     std::vector<std::vector<AttentionResult>> &results,
     const GroupCompletionHook &onGroupDone) const
 {
+    thread_local FlattenScratch scratch;
+    a3Assert(!scratch.inUse,
+             "runGroupsInto re-entered on a thread whose pass is "
+             "still running");
+    scratch.inUse = true;
+
+    // Decompose every (group, query) into its backend's work units
+    // (one per shard for a sharded backend, one for a plain one).
     results.resize(groups.size());
-    std::vector<GroupView> views(groups.size());
-    for (std::size_t g = 0; g < groups.size(); ++g)
-        views[g] = {groups[g].backend, &groups[g].queries,
-                    &results[g], groups[g].detail};
-    runFlattened(pool_, views, onGroupDone);
+    scratch.unitCount.resize(groups.size());
+    scratch.queryBase.resize(groups.size() + 1);
+    scratch.queryBase[0] = 0;
+    std::size_t maxQueries = 0;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        const AttentionRequestGroup &group = groups[g];
+        a3Assert(group.backend != nullptr,
+                 "request group ", g, " has no backend");
+        results[g].resize(group.queries.size());
+        scratch.unitCount[g] = group.backend->workUnitCount();
+        a3Assert(scratch.unitCount[g] > 0,
+                 "backend of group ", g, " reports zero work units");
+        maxQueries = std::max(maxQueries, group.queries.size());
+        scratch.queryBase[g + 1] =
+            scratch.queryBase[g] + group.queries.size();
+    }
+
+    // Round-robin batch formation at query granularity: every unit
+    // of query q of every group lands in the list before query q+1
+    // of any, so a huge group cannot monopolize the first lanes and
+    // every group's per-query cost is spread evenly across the pass.
+    // Units of one query stay adjacent, keeping a query's shard
+    // passes temporally close (their merge runs as soon as the last
+    // one lands). The interleave only reorders which lane picks up
+    // which unit — the merge order is fixed — so results are
+    // bit-identical to any other order.
+    scratch.work.clear();
+    for (std::size_t q = 0; q < maxQueries; ++q)
+        for (std::size_t g = 0; g < groups.size(); ++g)
+            if (q < groups[g].queries.size())
+                for (std::size_t u = 0; u < scratch.unitCount[g]; ++u)
+                    scratch.work.push_back(
+                        {static_cast<std::uint32_t>(g),
+                         static_cast<std::uint32_t>(q),
+                         static_cast<std::uint32_t>(u)});
+
+    // Partial slots and unit countdowns, armed only for multi-unit
+    // groups; group countdowns only when a hook listens.
+    const std::size_t totalQueries = scratch.queryBase[groups.size()];
+    if (scratch.partials.size() < totalQueries)
+        scratch.partials.resize(totalQueries);
+    growCountdowns(scratch.unitsLeft, totalQueries);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        if (scratch.unitCount[g] == 1)
+            continue;
+        for (std::size_t q = 0; q < groups[g].queries.size(); ++q) {
+            const std::size_t f = scratch.queryBase[g] + q;
+            scratch.partials[f].resize(scratch.unitCount[g]);
+            scratch.unitsLeft[f].store(scratch.unitCount[g],
+                                       std::memory_order_relaxed);
+        }
+    }
+    if (onGroupDone) {
+        growCountdowns(scratch.queriesLeft, groups.size());
+        for (std::size_t g = 0; g < groups.size(); ++g)
+            scratch.queriesLeft[g].store(groups[g].queries.size(),
+                                         std::memory_order_relaxed);
+    }
+
+    const Pass pass{groups, results, scratch, onGroupDone,
+                    std::chrono::steady_clock::now()};
+    pool_.parallelFor(scratch.work.size(), [&pass](std::size_t i) {
+        runWorkUnit(pass, i);
+    });
+    scratch.inUse = false;
 }
 
 SelfAttentionResult
@@ -223,11 +218,14 @@ AttentionEngine::selfAttention(const Matrix &key, const Matrix &value,
     const ApproxAttention backend(key, value, config);
 
     const std::size_t tokens = queries.rows();
-    std::vector<Vector> perToken(tokens);
+    std::vector<AttentionRequestGroup> groups(1);
+    groups[0].backend = &backend;
+    groups[0].queries.resize(tokens);
     for (std::size_t t = 0; t < tokens; ++t)
-        perToken[t].assign(queries.row(t).begin(),
-                           queries.row(t).end());
-    std::vector<AttentionResult> batched = run(backend, perToken);
+        groups[0].queries[t].assign(queries.row(t).begin(),
+                                    queries.row(t).end());
+    std::vector<std::vector<AttentionResult>> batched;
+    runGroupsInto(groups, batched);
 
     SelfAttentionResult result;
     result.outputs = Matrix(tokens, key.cols());
@@ -235,7 +233,7 @@ AttentionEngine::selfAttention(const Matrix &key, const Matrix &value,
     double candSum = 0.0;
     double keptSum = 0.0;
     for (std::size_t t = 0; t < tokens; ++t) {
-        AttentionResult &r = batched[t];
+        AttentionResult &r = batched[0][t];
         for (std::size_t j = 0; j < key.cols(); ++j)
             result.outputs(t, j) = r.output[j];
         candSum += static_cast<double>(r.candidates.size());

@@ -6,18 +6,23 @@
  * queries: BERT answers n token queries against one shared key matrix,
  * multi-head attention runs h independent heads, and a deployed QA
  * service streams questions against one loaded story. AttentionEngine
- * is the software substrate for that parallelism: it takes batches of
- * queries (and multi-head / multi-sequence request groups) against
- * preprocessed AttentionBackend tasks and fans them out over a
- * reusable ThreadPool.
+ * is the software substrate for that parallelism: it takes request
+ * groups — batches of queries, one per sequence, head or session,
+ * against preprocessed AttentionBackend tasks — and fans them out
+ * over a reusable ThreadPool.
  *
  * Guarantees:
+ *  - runGroupsInto() is the one batch path: every batch — a single
+ *    backend's queries, many sessions' groups, a sharded session's
+ *    (query, shard) units — runs through it;
  *  - results come back in request order regardless of thread count;
- *  - batched outputs are bit-identical to sequential per-query run()
- *    calls (each query executes exactly the sequential code path and
- *    writes only its own slot);
+ *  - batched outputs are bit-identical to sequential per-query
+ *    backend runInto() calls (each query executes exactly the
+ *    sequential code path and writes only its own slot);
  *  - the sorted-key / datapath preprocessing of a backend is performed
- *    once per key/value pair and shared by every query in the batch.
+ *    once per key/value pair and shared by every query in the batch;
+ *  - a steady-state pass allocates nothing once the batch and task
+ *    shapes have been seen.
  */
 
 #ifndef A3_ENGINE_ENGINE_HPP
@@ -74,44 +79,39 @@ class AttentionEngine
     std::size_t threads() const { return pool_.threadCount(); }
 
     /**
-     * Answer a batch of queries against one backend. result[i] is
-     * bit-identical to backend.run(queries[i]).
-     */
-    std::vector<AttentionResult>
-    run(const AttentionBackend &backend,
-        const std::vector<Vector> &queries) const;
-
-    /**
-     * Allocation-free batch variant: answers into `results`, resizing
-     * it to queries.size() and reusing every slot's buffers. A serving
-     * loop that keeps one results vector performs zero steady-state
-     * heap allocations once the batch size and task shape have been
-     * seen (each lane's transients live in its thread-local Scratch).
-     */
-    void runInto(const AttentionBackend &backend,
-                 const std::vector<Vector> &queries,
-                 std::vector<AttentionResult> &results) const;
-
-    /**
-     * Answer several request groups (multi-head or multi-sequence)
-     * into `results`, resizing it to groups.size() and reusing every
-     * slot's buffers — the steady-state path of the serving
-     * BatchScheduler, which keeps one results vector across drains.
-     * Every (group, query) pair is decomposed into its backend's
-     * work units (AttentionBackend::workUnitCount() — one per shard
-     * for a sharded backend, one total for a plain one) and all the
-     * units are flattened into one work list, so small groups cannot
-     * strand lanes and shard partials from many queries share the
-     * same lanes with no nested pool. The list interleaves the
-     * groups round-robin — query q of every group before query q+1
-     * of any — so one huge group cannot monopolize the first lanes
-     * and small groups complete early (the batch-formation order the
-     * serving tier's fairness rides on). Single-unit queries execute
-     * the sequential runInto() path and multi-unit queries merge
-     * their partials serially in fixed unit order, so results[g][i]
-     * is bit-identical to groups[g].backend->runInto(
-     * groups[g].queries[i], out, groups[g].detail) regardless of
-     * the interleave.
+     * Answer several request groups (multi-head, multi-sequence, or
+     * one backend's batch as a single group) into `results`, resizing
+     * it to groups.size() and reusing every slot's buffers — the
+     * engine's one batch path, which the serving BatchScheduler runs
+     * once per drain. Every (group, query) pair is decomposed into its
+     * backend's work units (AttentionBackend::workUnitCount() — one
+     * per shard for a sharded backend, one total for a plain one)
+     * and all the units are flattened into one work list, so small
+     * groups cannot strand lanes and shard partials from many
+     * queries share the same lanes with no nested pool. The list
+     * interleaves the groups round-robin — query q of every group
+     * before query q+1 of any — so one huge group cannot monopolize
+     * the first lanes and small groups complete early (the
+     * batch-formation order the serving tier's fairness rides on).
+     * Single-unit queries execute the sequential runInto() path and
+     * multi-unit queries merge their partials serially in fixed unit
+     * order, so results[g][i] is bit-identical to
+     * groups[g].backend->runInto(groups[g].queries[i], out,
+     * groups[g].detail) regardless of the interleave.
+     *
+     * Allocation-free in steady state: the work list, the countdowns
+     * and the multi-unit partial slots live in per-calling-thread
+     * buffers that grow to the largest batch seen and never shrink,
+     * and each lane's transients live in its thread-local Scratch. A
+     * caller that keeps one `results` vector (and one groups vector)
+     * across passes therefore allocates nothing once the batch and
+     * task shapes have been seen.
+     *
+     * Not re-entrant per thread: a thread must not call
+     * runGroupsInto() again (on any engine) while one of its own
+     * passes is running — from a backend or a completion hook —
+     * because the pass holds that thread's buffers. Concurrent calls
+     * from different threads are fine; the pool serializes them.
      *
      * An optional `onGroupDone` fires as each group's last query
      * completes (see GroupCompletionHook for the threading
@@ -149,7 +149,8 @@ class AttentionEngine
      * Process-wide engine sized to the hardware, used by the
      * convenience layers (selfAttention(), MultiHopAttention::
      * runBatch()) so every caller gets batching without plumbing an
-     * engine through.
+     * engine through. Never destroyed, so exiting a forked child
+     * does not join threads the fork left behind.
      */
     static AttentionEngine &shared();
 

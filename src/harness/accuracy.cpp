@@ -33,27 +33,30 @@ evaluateAccuracy(const Workload &workload, const EngineConfig &engine,
             workload.scoredQueries(task);
         if (scored.empty())
             continue;  // only timing-only queries sampled
-        std::vector<Vector> queries;
-        queries.reserve(scored.size());
+        std::vector<AttentionRequestGroup> groups(1);
+        groups[0].queries.reserve(scored.size());
         for (std::size_t qi : scored)
-            queries.push_back(task.queries[qi]);
+            groups[0].queries.push_back(task.queries[qi]);
 
         // One preprocessed backend per episode (sorted key / sized
         // datapath shared by every query), then the whole scored batch
         // through the engine at once.
         const std::unique_ptr<AttentionBackend> backend =
             makeBackend(engine, task.key, task.value);
-        const std::vector<AttentionResult> results =
-            executor.run(*backend, queries);
+        groups[0].backend = backend.get();
+        std::vector<std::vector<AttentionResult>> batched;
+        executor.runGroupsInto(groups, batched);
+        const std::vector<AttentionResult> &results = batched[0];
 
         // Exact float scores for the Figure 13b top-k recall, batched
         // the same way; the exact-float engine's own results already
         // are the reference, so skip the second pass there.
         const bool needExact = engine.kind != EngineKind::ExactFloat;
-        std::vector<AttentionResult> exactResults;
+        std::vector<std::vector<AttentionResult>> exactBatched;
         if (needExact) {
             const ReferenceAttention exact(task.key, task.value);
-            exactResults = executor.run(exact, queries);
+            groups[0].backend = &exact;
+            executor.runGroupsInto(groups, exactBatched);
         }
 
         metricSum += workload.scoreBatch(task, scored, results);
@@ -65,7 +68,7 @@ evaluateAccuracy(const Workload &workload, const EngineConfig &engine,
             keptFracSum += static_cast<double>(result.kept.size()) /
                            static_cast<double>(n);
             const Vector &exactScores =
-                needExact ? exactResults[i].scores : result.scores;
+                needExact ? exactBatched[0][i].scores : result.scores;
             recallSum += topKRecall(exactScores, result.kept,
                                     workload.recallTopK());
             ++report.scoredQueries;

@@ -46,19 +46,6 @@ struct AdmissionPolicy
     std::size_t maxPendingPerSession = 0;
 
     /**
-     * Budget on the summed estimated cost of queued work, in bytes of
-     * bound-backend state (AttentionBackend::memoryBytes() via
-     * SessionCache::peekBytes — a sharded 120k-row session charges
-     * its full aggregate, so a few huge-context requests can fill the
-     * budget that hundreds of small ones would not). A request whose
-     * estimate would overflow the budget is rejected unless the queue
-     * is empty: a session costlier than the whole budget must still
-     * make progress, mirroring the cache's rule that the newest bind
-     * is never evicted. 0 = unbounded.
-     */
-    std::size_t maxQueuedCostBytes = 0;
-
-    /**
      * Target request latency driving the adaptive queue-depth bound:
      * when set, the scheduler derives its effective depth as
      * target-latency / observed-p95-per-request-service-time
@@ -89,8 +76,6 @@ enum class AdmissionDecision : std::uint8_t {
     RejectedQueueFull,
     /** The session already holds maxPendingPerSession requests. */
     RejectedSessionCap,
-    /** Estimated cost would overflow maxQueuedCostBytes. */
-    RejectedCostBudget,
     /** Queue already at the adaptive depth derived from
      *  targetLatencySeconds / observed-p95 service time. */
     RejectedAdaptiveDepth,
@@ -116,8 +101,6 @@ admissionDecisionName(AdmissionDecision decision)
         return "rejected_queue_full";
     case AdmissionDecision::RejectedSessionCap:
         return "rejected_session_cap";
-    case AdmissionDecision::RejectedCostBudget:
-        return "rejected_cost_budget";
     case AdmissionDecision::RejectedAdaptiveDepth:
         return "rejected_adaptive_depth";
     case AdmissionDecision::RejectedDeadlineUnmeetable:

@@ -53,12 +53,6 @@ BatchScheduler::submit(const SessionHandle &handle, Vector query,
     a3Assert(handle.valid(),
              "cannot submit against an invalid session handle");
     const std::string &session = handle.id();
-    // Estimated cost before taking the scheduler lock: peekBytes
-    // holds only the cache's own lock, touches neither LRU order nor
-    // hit/miss counters, and reads 0 for an unbound session.
-    const std::size_t cost = policy_.maxQueuedCostBytes != 0
-                                 ? cache_.peekBytes(session)
-                                 : 0;
     const double submitSeconds = nowSeconds();
 
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -85,14 +79,6 @@ BatchScheduler::submit(const SessionHandle &handle, Vector query,
         it->second.pendingTotal >= policy_.maxPendingPerSession) {
         ++counters_.rejectedSessionCap;
         return {AdmissionDecision::RejectedSessionCap, 0};
-    }
-    // The cost budget never rejects into an empty queue: a session
-    // costlier than the whole budget must still make progress
-    // (mirrors the cache's never-evict-the-newest-bind rule).
-    if (policy_.maxQueuedCostBytes != 0 && pendingCount_ > 0 &&
-        queuedCostBytes_ + cost > policy_.maxQueuedCostBytes) {
-        ++counters_.rejectedCostBudget;
-        return {AdmissionDecision::RejectedCostBudget, 0};
     }
     // A deadline the queue already makes unmeetable is shed now, not
     // after it has waited its budget out: the requests ahead of it
@@ -125,11 +111,9 @@ BatchScheduler::submit(const SessionHandle &handle, Vector query,
     if (state.pendingTotal == 0)
         activeOrder_.push_back(session);
     lane->pending.push_back({ticket, std::move(query), submitSeconds,
-                             cost, options.deadlineSeconds,
-                             options.detail});
+                             options.deadlineSeconds, options.detail});
     ++state.pendingTotal;
     ++pendingCount_;
-    queuedCostBytes_ += cost;
     return {AdmissionDecision::Admitted, ticket};
 }
 
@@ -259,13 +243,6 @@ BatchScheduler::pendingFor(const std::string &session) const
 }
 
 std::size_t
-BatchScheduler::queuedCostBytes() const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return queuedCostBytes_;
-}
-
-std::size_t
 BatchScheduler::trackedSessions() const
 {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -337,7 +314,6 @@ BatchScheduler::drain()
                             "\" would be answered out of ticket "
                             "order");
                         lane.lastClaimedTicket = request.ticket;
-                        queuedCostBytes_ -= request.costBytes;
                         --state.pendingTotal;
                         --pendingCount_;
                         progress = true;

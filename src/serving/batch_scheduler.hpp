@@ -6,24 +6,24 @@
  * Clients submit (session handle, query) requests from any thread;
  * each admitted request gets a monotonically increasing ticket, and
  * each shed request gets a typed AdmissionOutcome naming the limit
- * that rejected it (queue depth, per-session cap, estimated-cost
- * budget, adaptive depth, or an unmeetable deadline — see
- * serving/admission.hpp). Requests may carry a per-request deadline
- * and a request class (SubmitOptions): a claimed request whose queue
- * wait already blew its deadline is shed at drain time with a typed
- * ServingError::DeadlineExpired completion instead of being
- * executed, and when AdmissionPolicy::targetLatencySeconds is set
- * the effective queue depth adapts to target-latency /
- * observed-p95-service-time (the per-request service reservoir is
- * the signal). drain() forms its batch by weighted round-robin over
- * the sessions with pending work — each pass hands every session's
- * class lane up to session-weight × class-weight slots — so one
- * chatty or sharded-huge session (or one low-priority class) cannot
- * starve the rest when maxBatch truncates the drain. The claimed
- * requests are coalesced into one AttentionRequestGroup per session
- * and driven through AttentionEngine::runGroupsInto in one batched,
- * multi-threaded pass that flattens every (query, shard) work unit
- * onto the engine's lanes.
+ * that rejected it (queue depth, per-session cap, adaptive depth, or
+ * an unmeetable deadline — see serving/admission.hpp). Requests may
+ * carry a per-request deadline and a request class (SubmitOptions): a
+ * claimed request whose queue wait already blew its deadline is shed
+ * at drain time with a typed ServingError::DeadlineExpired completion
+ * instead of being executed, and when
+ * AdmissionPolicy::targetLatencySeconds is set the effective queue
+ * depth adapts to target-latency / observed-p95-service-time (the
+ * per-request service reservoir is the signal). drain() forms its
+ * batch by weighted round-robin over the sessions with pending work —
+ * each pass hands every session's class lane up to session-weight ×
+ * class-weight slots — so one chatty or sharded-huge session (or one
+ * low-priority class) cannot starve the rest when maxBatch truncates
+ * the drain. The claimed requests are coalesced into one
+ * AttentionRequestGroup per session and driven through
+ * AttentionEngine::runGroupsInto in one batched, multi-threaded pass
+ * that flattens every (query, shard) work unit onto the engine's
+ * lanes.
  *
  * Determinism guarantee: drain() returns results sorted by ticket,
  * requests within a session's class lane are always claimed in
@@ -162,9 +162,6 @@ struct BatchSchedulerStats
     /** Submits shed by a session's maxPendingPerSession cap. */
     std::uint64_t rejectedSessionCap = 0;
 
-    /** Submits shed by the maxQueuedCostBytes budget. */
-    std::uint64_t rejectedCostBudget = 0;
-
     /** Submits shed by the adaptive queue-depth bound (derived from
      *  targetLatencySeconds / observed p95 service time). */
     std::uint64_t rejectedAdaptiveDepth = 0;
@@ -194,8 +191,7 @@ struct BatchSchedulerStats
     std::uint64_t rejected() const
     {
         return rejectedQueueFull + rejectedSessionCap +
-               rejectedCostBudget + rejectedAdaptiveDepth +
-               rejectedDeadlineUnmeetable;
+               rejectedAdaptiveDepth + rejectedDeadlineUnmeetable;
     }
 
     /**
@@ -262,8 +258,7 @@ class BatchScheduler
      * session id, and drain() resolves that id in the cache: a query
      * through a stale handle is answered by the session's current
      * binding, or completes with ServingError::SessionUnbound when
-     * the session is not bound at drain time. The cost budget reads
-     * the session's charged bytes at submit (0 when unbound).
+     * the session is not bound at drain time.
      */
     AdmissionOutcome submit(const SessionHandle &handle, Vector query,
                             const SubmitOptions &options = {});
@@ -310,9 +305,6 @@ class BatchScheduler
     /** Requests currently queued for one session. */
     std::size_t pendingFor(const std::string &session) const;
 
-    /** Summed estimated cost (bytes) of the queued requests. */
-    std::size_t queuedCostBytes() const;
-
     /**
      * Sessions currently holding scheduler state: pending work or a
      * non-default weight. Fully drained default-weight sessions are
@@ -358,8 +350,6 @@ class BatchScheduler
         Vector query;
         /** Steady-clock submit time, for the queue-wait reservoir. */
         double submitSeconds = 0.0;
-        /** Estimated cost charged against maxQueuedCostBytes. */
-        std::size_t costBytes = 0;
         /** Latency budget; 0 = none. */
         double deadlineSeconds = 0.0;
         ResultDetail detail = ResultDetail::Output;
@@ -419,7 +409,6 @@ class BatchScheduler
      *  leftovers do not always favor the earliest-arrived session. */
     std::uint64_t drainRounds_ = 0;
     std::size_t pendingCount_ = 0;
-    std::size_t queuedCostBytes_ = 0;
     /** Adaptive depth signal, persisted across resetCounters(). */
     std::size_t adaptiveDepth_ = 0;
     double serviceP95_ = 0.0;

@@ -284,14 +284,6 @@ SessionCache::enforceBudgetLocked(const std::string &keep)
     }
 }
 
-std::size_t
-SessionCache::peekBytes(const std::string &session) const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(session);
-    return it == entries_.end() ? 0 : it->second.bytes;
-}
-
 bool
 SessionCache::erase(const std::string &session)
 {

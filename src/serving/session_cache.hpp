@@ -264,16 +264,6 @@ class SessionCache
     insert(const std::string &session,
            std::shared_ptr<AttentionBackend> backend);
 
-    /**
-     * Bytes `session` charges the cache (shared shards another bound
-     * session already charged are excluded), or 0 when unbound — the
-     * admission-control cost estimate. Unlike lookupSession(), this
-     * touches neither the LRU order nor the hit/miss counters:
-     * probing a session's cost to decide admission must not make it
-     * look recently used or skew the cache's reuse statistics.
-     */
-    std::size_t peekBytes(const std::string &session) const;
-
     /** Drop one session; returns whether it was bound. */
     bool erase(const std::string &session);
 

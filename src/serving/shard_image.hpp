@@ -115,7 +115,9 @@ class ShardKeyHasher
 };
 
 constexpr std::uint32_t kShardImageMagic = 0x41335350u;  // "A3SP"
-constexpr std::uint16_t kShardImageVersion = 1;
+/** Bumped whenever a backend's serializeState() layout changes; v2
+ *  dropped the quantized backends' per-row scales. */
+constexpr std::uint16_t kShardImageVersion = 2;
 
 /**
  * Serialize `backend` (which must be serializable()) into the

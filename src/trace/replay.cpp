@@ -212,9 +212,6 @@ replayTrace(const Trace &trace, AttentionEngine &engine,
         case AdmissionDecision::RejectedSessionCap:
             ++report.shedSessionCap;
             break;
-        case AdmissionDecision::RejectedCostBudget:
-            ++report.shedCostBudget;
-            break;
         default:
             ++report.shedOther;
             break;

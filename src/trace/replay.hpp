@@ -16,11 +16,11 @@
  * bit-identical across two runs at the same seed.
  *
  * Division of labor with the scheduler's own wall-clock machinery:
- * admission (queue depth, per-session cap, cost budget) runs for
- * real inside submit() and produces the shed counts; the
- * scheduler's *wall-clock* deadline path is exercised with a
- * generous schedulerDeadlineSeconds budget so its bookkeeping runs
- * without ever shedding nondeterministically. For the same reason
+ * admission (queue depth, per-session cap) runs for real inside
+ * submit() and produces the shed counts; the scheduler's
+ * *wall-clock* deadline path is exercised with a generous
+ * schedulerDeadlineSeconds budget so its bookkeeping runs without
+ * ever shedding nondeterministically. For the same reason
  * the replay admission policy must not set targetLatencySeconds
  * (adaptive depth keys off real service time); replayTrace()
  * fatal()s if it does.
@@ -130,7 +130,6 @@ struct ReplayReport
     /** Submits shed by the admission policy, by limit. */
     std::uint64_t shedQueueFull = 0;
     std::uint64_t shedSessionCap = 0;
-    std::uint64_t shedCostBudget = 0;
     std::uint64_t shedOther = 0;
 
     /** Queries lost to unrecoverable errors. Zero in a healthy
@@ -148,8 +147,7 @@ struct ReplayReport
     /** All admission sheds. */
     std::uint64_t shed() const
     {
-        return shedQueueFull + shedSessionCap + shedCostBudget +
-               shedOther;
+        return shedQueueFull + shedSessionCap + shedOther;
     }
 
     /** shed() / queries submitted. */

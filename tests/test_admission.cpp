@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests for admission control and weighted-fair scheduling in the
- * serving tier: queue-depth / per-session / cost-budget rejection
- * with typed outcomes, shed accounting in BatchSchedulerStats,
- * weighted round-robin interleaving ratios and the starvation bound
- * under a hot session, per-session ticket ordering across truncated
- * drains interleaved with appends, latency percentile plumbing, and
+ * serving tier: queue-depth / per-session rejection with typed
+ * outcomes, shed accounting in BatchSchedulerStats, weighted
+ * round-robin interleaving ratios and the starvation bound under a
+ * hot session, per-session ticket ordering across truncated drains
+ * interleaved with appends, latency percentile plumbing, and
  * bit-identity of every answered result against sequential
  * backend.run() under every policy.
  */
@@ -144,55 +144,6 @@ TEST(Admission, PerSessionCapLeavesOtherSessionsAdmissible)
     EXPECT_EQ(scheduler.drain().size(), 4u);
 }
 
-TEST(Admission, CostBudgetChargesBackendBytes)
-{
-    Rng rng(11200);
-    const std::size_t d = 8;
-    AttentionEngine engine(1);
-    SessionCache cache;
-    EngineConfig cfg;
-    cfg.kind = EngineKind::ExactFloat;
-    const SessionHandle smallHandle =
-        cache.bindSession("small", cfg, randomMatrix(rng, 8, d),
-                          randomMatrix(rng, 8, d))
-            .handle;
-    const SessionHandle largeHandle =
-        cache.bindSession("large", cfg, randomMatrix(rng, 64, d),
-                          randomMatrix(rng, 64, d))
-            .handle;
-    const auto small = smallHandle.backend();
-    const auto large = largeHandle.backend();
-
-    // The cost estimate is the bound backend's bytes, and probing it
-    // perturbs neither the LRU order nor the hit/miss counters.
-    const SessionCacheStats before = cache.stats();
-    EXPECT_EQ(cache.peekBytes("small"), small->memoryBytes());
-    EXPECT_EQ(cache.peekBytes("large"), large->memoryBytes());
-    EXPECT_EQ(cache.peekBytes("missing"), 0u);
-    const SessionCacheStats after = cache.stats();
-    EXPECT_EQ(after.hits, before.hits);
-    EXPECT_EQ(after.misses, before.misses);
-
-    AdmissionPolicy policy;
-    policy.maxQueuedCostBytes =
-        small->memoryBytes() + large->memoryBytes() / 2;
-    BatchScheduler scheduler(engine, cache, 0, policy);
-
-    EXPECT_TRUE(
-        scheduler.submit(smallHandle, randomQuery(rng, d)).admitted());
-    EXPECT_EQ(scheduler.queuedCostBytes(), small->memoryBytes());
-    const AdmissionOutcome shed =
-        scheduler.submit(largeHandle, randomQuery(rng, d));
-    EXPECT_EQ(shed.decision, AdmissionDecision::RejectedCostBudget);
-    EXPECT_EQ(scheduler.drain().size(), 1u);
-    EXPECT_EQ(scheduler.queuedCostBytes(), 0u);
-    // Into an empty queue even an over-budget session is admitted —
-    // it must be able to make progress at all.
-    EXPECT_TRUE(
-        scheduler.submit(largeHandle, randomQuery(rng, d)).admitted());
-    EXPECT_EQ(scheduler.drain().size(), 1u);
-}
-
 TEST(Admission, ShedAccountingInStats)
 {
     Rng rng(11300);
@@ -221,7 +172,6 @@ TEST(Admission, ShedAccountingInStats)
     EXPECT_EQ(stats.submitted, 5u);
     EXPECT_EQ(stats.rejectedSessionCap, 1u);
     EXPECT_EQ(stats.rejectedQueueFull, 1u);
-    EXPECT_EQ(stats.rejectedCostBudget, 0u);
     EXPECT_EQ(stats.rejected(), 2u);
     EXPECT_EQ(scheduler.pending(), 3u);
 
@@ -389,8 +339,6 @@ TEST(Fairness, BitIdenticalToSequentialUnderEveryPolicy)
     AdmissionPolicy bounded;
     bounded.maxQueueDepth = 64;
     bounded.maxPendingPerSession = 32;
-    AdmissionPolicy costed;
-    costed.maxQueuedCostBytes = 1u << 30;
     struct Shape
     {
         std::size_t maxBatch;
@@ -401,7 +349,6 @@ TEST(Fairness, BitIdenticalToSequentialUnderEveryPolicy)
         {0, AdmissionPolicy{}, false},  // the pre-admission default
         {4, AdmissionPolicy{}, false},  // truncated drains
         {4, bounded, true},             // bounded + weighted
-        {0, costed, false},             // cost budget engaged
     };
     for (const Shape &shape : shapes) {
         SCOPED_TRACE("maxBatch " + std::to_string(shape.maxBatch));

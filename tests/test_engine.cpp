@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "attention/approx_attention.hpp"
@@ -62,6 +63,20 @@ expectBitIdentical(const AttentionResult &a, const AttentionResult &b)
     EXPECT_EQ(a.candidates, b.candidates);
     EXPECT_EQ(a.kept, b.kept);
     EXPECT_EQ(a.iterations, b.iterations);
+}
+
+/** One backend's batch through the engine's batch path, as a single
+ *  request group. */
+std::vector<AttentionResult>
+runBatch(const AttentionEngine &engine, const AttentionBackend &backend,
+         const std::vector<Vector> &queries)
+{
+    std::vector<AttentionRequestGroup> groups(1);
+    groups[0].backend = &backend;
+    groups[0].queries = queries;
+    std::vector<std::vector<AttentionResult>> results;
+    engine.runGroupsInto(groups, results);
+    return std::move(results[0]);
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce)
@@ -205,7 +220,7 @@ TEST(AttentionEngine, BatchedBitIdenticalToSequentialAllBackends)
 
         const AttentionEngine engine(4);
         const std::vector<AttentionResult> batched =
-            engine.run(*backend, t.queries);
+            runBatch(engine, *backend, t.queries);
         ASSERT_EQ(batched.size(), sequential.size())
             << engineKindName(kind);
         for (std::size_t i = 0; i < batched.size(); ++i) {
@@ -224,14 +239,14 @@ TEST(AttentionEngine, DeterministicOrderingAcrossThreadCounts)
 
     const AttentionEngine one(1);
     const std::vector<AttentionResult> reference =
-        one.run(backend, t.queries);
+        runBatch(one, backend, t.queries);
     for (std::size_t threads : {2u, 8u}) {
         const AttentionEngine engine(threads);
         EXPECT_EQ(engine.threads(), threads);
         // Repeat to shake out scheduling-dependent orderings.
         for (int repeat = 0; repeat < 3; ++repeat) {
             const std::vector<AttentionResult> batched =
-                engine.run(backend, t.queries);
+                runBatch(engine, backend, t.queries);
             ASSERT_EQ(batched.size(), reference.size());
             for (std::size_t i = 0; i < batched.size(); ++i) {
                 SCOPED_TRACE("threads " + std::to_string(threads) +
@@ -248,7 +263,7 @@ TEST(AttentionEngine, EmptyBatch)
     const ApproxAttention backend(t.key, t.value,
                                   ApproxConfig::conservative());
     const AttentionEngine engine(4);
-    EXPECT_TRUE(engine.run(backend, {}).empty());
+    EXPECT_TRUE(runBatch(engine, backend, {}).empty());
     std::vector<std::vector<AttentionResult>> grouped(2);
     engine.runGroupsInto({}, grouped);
     EXPECT_TRUE(grouped.empty());
@@ -260,7 +275,7 @@ TEST(AttentionEngine, SingleQueryBatch)
     const ApproxAttention backend(t.key, t.value,
                                   ApproxConfig::conservative());
     const AttentionEngine engine(8);
-    const auto batched = engine.run(backend, t.queries);
+    const auto batched = runBatch(engine, backend, t.queries);
     ASSERT_EQ(batched.size(), 1u);
     expectBitIdentical(batched[0], backend.run(t.queries[0]));
 }

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -59,6 +60,20 @@ expectBitIdentical(const AttentionResult &a, const AttentionResult &b)
     EXPECT_EQ(a.candidates, b.candidates);
     EXPECT_EQ(a.kept, b.kept);
     EXPECT_EQ(a.iterations, b.iterations);
+}
+
+/** One backend's batch through the engine's batch path, as a single
+ *  request group. */
+std::vector<AttentionResult>
+runBatch(const AttentionEngine &engine, const AttentionBackend &backend,
+         const std::vector<Vector> &queries)
+{
+    std::vector<AttentionRequestGroup> groups(1);
+    groups[0].backend = &backend;
+    groups[0].queries = queries;
+    std::vector<std::vector<AttentionResult>> results;
+    engine.runGroupsInto(groups, results);
+    return std::move(results[0]);
 }
 
 TEST(FlattenedEngine, WorkUnitContractDefaults)
@@ -131,7 +146,7 @@ TEST(FlattenedEngine, SingleShardKeepsExactPathEveryKind)
         for (int i = 0; i < 6; ++i)
             queries.push_back(randomQuery(rng, d));
         const std::vector<AttentionResult> batched =
-            engine.run(sharded, queries);
+            runBatch(engine, sharded, queries);
         for (std::size_t i = 0; i < queries.size(); ++i) {
             SCOPED_TRACE("query " + std::to_string(i));
             expectBitIdentical(batched[i], plain->run(queries[i]));
@@ -335,21 +350,24 @@ TEST(FlattenedEngine, NoNestedPoolUnderConcurrentEnginePasses)
     for (int i = 0; i < 8; ++i)
         queries.push_back(randomQuery(rng, d));
     const std::vector<AttentionResult> wantA =
-        AttentionEngine(1).run(shardedA, queries);
+        runBatch(AttentionEngine(1), shardedA, queries);
     const std::vector<AttentionResult> wantB =
-        AttentionEngine(1).run(shardedB, queries);
+        runBatch(AttentionEngine(1), shardedB, queries);
 
     AttentionEngine engine(4);
     std::atomic<bool> failed{false};
     const auto batchWorker = [&](const ShardedBackend &backend,
                                  const std::vector<AttentionResult>
                                      &want) {
-        std::vector<AttentionResult> results;
+        std::vector<AttentionRequestGroup> groups(1);
+        groups[0].backend = &backend;
+        groups[0].queries = queries;
+        std::vector<std::vector<AttentionResult>> results;
         for (int pass = 0; pass < 6; ++pass) {
-            engine.runInto(backend, queries, results);
+            engine.runGroupsInto(groups, results);
             for (std::size_t i = 0; i < queries.size(); ++i) {
-                if (results[i].output != want[i].output ||
-                    results[i].weights != want[i].weights)
+                if (results[0][i].output != want[i].output ||
+                    results[0][i].weights != want[i].weights)
                     failed.store(true);
             }
         }

@@ -681,23 +681,23 @@ TEST(ZeroAllocation, SteadyStateRunIntoEveryBackend)
     }
 }
 
-TEST(ZeroAllocation, SteadyStateEngineBatch)
+/**
+ * Allocations over ten steady-state engine passes of `groups`. Warm-up
+ * passes size the result slots and the engine's reused buffers. The
+ * pool hands work to whichever lane asks first, so a lane can sit out
+ * every warm-up pass and grow its thread-local Scratch inside the
+ * measured window. A rendezvous therefore holds each lane until all
+ * have claimed one item, so every lane runs every query's path once
+ * here (the wait is bounded, never a hang).
+ */
+std::size_t
+steadyStateEngineAllocations(
+    const AttentionEngine &engine,
+    const std::vector<AttentionRequestGroup> &groups)
 {
-    const TestTask t = makeTask(555, 48, 16, 8);
-    EngineConfig cfg;
-    cfg.kind = EngineKind::ApproxFloat;
-    const auto backend = makeBackend(cfg, t.key, t.value);
-
-    const AttentionEngine engine(2);
-    std::vector<AttentionResult> results;
-    // Warm-up: spins the pool and sizes every result slot's buffers.
+    std::vector<std::vector<AttentionResult>> results;
     for (int pass = 0; pass < 3; ++pass)
-        engine.runInto(*backend, t.queries, results);
-    // The pool hands queries to whichever lane asks first, so a lane
-    // can sit out every warm-up pass and grow its thread-local
-    // Scratch inside the measured window. A rendezvous holds each
-    // lane until all have claimed one item, so every lane runs the
-    // query path once here (the wait is bounded, never a hang).
+        engine.runGroupsInto(groups, results);
     const std::size_t lanes = engine.threads();
     std::atomic<std::size_t> arrived{0};
     engine.pool().parallelFor(lanes, [&](std::size_t) {
@@ -708,17 +708,51 @@ TEST(ZeroAllocation, SteadyStateEngineBatch)
                std::chrono::steady_clock::now() < deadline)
             std::this_thread::yield();
         AttentionResult warm;
-        for (const Vector &q : t.queries)
-            backend->runInto(q, warm);
+        for (const AttentionRequestGroup &group : groups)
+            for (const Vector &q : group.queries)
+                group.backend->runInto(q, warm, group.detail);
     });
 
     const std::size_t before = allocationCount();
     for (int pass = 0; pass < 10; ++pass)
-        engine.runInto(*backend, t.queries, results);
+        engine.runGroupsInto(groups, results);
     const std::size_t after = allocationCount();
-    EXPECT_EQ(after - before, 0u)
-        << (after - before) << " allocations in steady state";
-    ASSERT_EQ(results.size(), t.queries.size());
+    EXPECT_EQ(results.size(), groups.size());
+    return after - before;
+}
+
+TEST(ZeroAllocation, SteadyStateEngineBatch)
+{
+    const TestTask t = makeTask(555, 48, 16, 8);
+    const AttentionEngine engine(2);
+
+    // One plain backend's batch: every query is a single work unit.
+    EngineConfig cfg;
+    cfg.kind = EngineKind::ApproxFloat;
+    const auto backend = makeBackend(cfg, t.key, t.value);
+    std::vector<AttentionRequestGroup> plain(1);
+    plain[0].backend = backend.get();
+    plain[0].queries = t.queries;
+    EXPECT_EQ(steadyStateEngineAllocations(engine, plain), 0u);
+
+    // The same queries on a 3-shard backend at Output: each query is
+    // three unit partials merged by the lane that finishes last, all
+    // in the engine's reused partial slots.
+    for (EngineKind kind :
+         {EngineKind::ExactFloat, EngineKind::ApproxFloat,
+          EngineKind::ExactQuantized, EngineKind::ApproxQuantized}) {
+        SCOPED_TRACE(engineKindName(kind));
+        EngineConfig shardCfg;
+        shardCfg.kind = kind;
+        const ShardedBackend sharded(shardCfg, t.key, t.value,
+                                     ShardedConfig{16});
+        ASSERT_EQ(sharded.shardCount(), 3u);
+        std::vector<AttentionRequestGroup> group(1);
+        group[0].backend = &sharded;
+        group[0].queries = t.queries;
+        group[0].detail = ResultDetail::Output;
+        EXPECT_EQ(steadyStateEngineAllocations(engine, group), 0u);
+    }
 }
 
 TEST(ZeroAllocation, SteadyStateOutputQueriesOnShardedBackend)

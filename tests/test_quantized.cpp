@@ -330,22 +330,15 @@ TEST(QuantizedPacked, MemoryFootprintShrinksAsDocumented)
 
     const QuantizedAttention int8(t.key, t.value, 3, 4);
     ASSERT_EQ(int8.packedFormat(), PackedKvFormat::Int8);
-    EXPECT_EQ(int8.memoryBytes(),
-              2 * n * d * sizeof(std::int8_t) + 2 * n * sizeof(float));
+    EXPECT_EQ(int8.memoryBytes(), 2 * n * d * sizeof(std::int8_t));
     EXPECT_LE(int8.memoryBytes() * 3, word32.memoryBytes());
 
     // Acceptance bound: int4-packed is <= 1/6 of the int32-word
     // footprint of the paper-default i=f=4 task.
     const QuantizedAttention int4(t.key, t.value, 1, 2);
     ASSERT_EQ(int4.packedFormat(), PackedKvFormat::Int4);
-    EXPECT_EQ(int4.memoryBytes(),
-              2 * n * ((d + 1) / 2) + 2 * n * sizeof(float));
+    EXPECT_EQ(int4.memoryBytes(), 2 * n * ((d + 1) / 2));
     EXPECT_LE(int4.memoryBytes() * 6, word32.memoryBytes());
-
-    // Per-row scale metadata: symmetric quantizer, one scale per row.
-    EXPECT_EQ(int4.keyScales().size(), n);
-    EXPECT_EQ(int4.valueScales().size(), n);
-    EXPECT_FLOAT_EQ(int4.keyScales()[0], 0.25f);  // 2^-fracBits
 }
 
 TEST(QuantizedPacked, EveryIsaBitIdenticalOnPackedBackends)
@@ -415,7 +408,7 @@ TEST(QuantizedPackedDeath, MakeBackendRejectsTooNarrowLane)
     cfg.intBits = 1;
     cfg.fracBits = 2;  // 4-bit word
     EXPECT_EQ(makeBackend(cfg, t.key, t.value)->memoryBytes(),
-              2 * 8 * 4 + 2 * 8 * sizeof(float));
+              2 * 8 * 4);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attention/backend.hpp"
@@ -63,6 +64,20 @@ expectBitIdentical(const AttentionResult &a, const AttentionResult &b)
     EXPECT_EQ(a.candidates, b.candidates);
     EXPECT_EQ(a.kept, b.kept);
     EXPECT_EQ(a.iterations, b.iterations);
+}
+
+/** One backend's batch through the engine's batch path, as a single
+ *  request group. */
+std::vector<AttentionResult>
+runBatch(const AttentionEngine &engine, const AttentionBackend &backend,
+         const std::vector<Vector> &queries)
+{
+    std::vector<AttentionRequestGroup> groups(1);
+    groups[0].backend = &backend;
+    groups[0].queries = queries;
+    std::vector<std::vector<AttentionResult>> results;
+    engine.runGroupsInto(groups, results);
+    return std::move(results[0]);
 }
 
 /** Map a float onto the lexicographically ordered integer line. */
@@ -362,9 +377,9 @@ TEST(ShardedBackend, ParallelMergeBitIdenticalToSerial)
     for (int i = 0; i < 8; ++i)
         queries.push_back(randomQuery(rng, d));
     const std::vector<AttentionResult> wide =
-        parallel.run(sharded, queries);
+        runBatch(parallel, sharded, queries);
     const std::vector<AttentionResult> narrow =
-        serial.run(sharded, queries);
+        runBatch(serial, sharded, queries);
     ASSERT_EQ(wide.size(), queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
         SCOPED_TRACE("query " + std::to_string(i));
@@ -400,7 +415,7 @@ TEST(ShardedBackend, ParallelMergeUnderConcurrentEngineQueries)
     for (int i = 0; i < 24; ++i)
         queries.push_back(randomQuery(rng, d));
     const std::vector<AttentionResult> batched =
-        engine.run(sharded, queries);
+        runBatch(engine, sharded, queries);
     ASSERT_EQ(batched.size(), queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
         SCOPED_TRACE("query " + std::to_string(i));
