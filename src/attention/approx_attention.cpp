@@ -169,8 +169,8 @@ ApproxAttention::candidateRowsInto(const Vector &query,
 }
 
 SoftmaxTerms
-ApproxAttention::runTermsInto(const Vector &query, AttentionResult &out,
-                              ResultDetail detail) const
+ApproxAttention::runInto(const Vector &query, AttentionResult &out,
+                         ResultDetail detail) const
 {
     a3Assert(query.size() == key_.cols(), "query dimension mismatch");
     const Kernels &k = activeKernels();
@@ -208,24 +208,6 @@ ApproxAttention::runTermsInto(const Vector &query, AttentionResult &out,
             out.scores[scratch.rowIds[i]] = scratch.candScores[i];
     }
     return terms;
-}
-
-void
-ApproxAttention::runInto(const Vector &query, AttentionResult &out,
-                         ResultDetail detail) const
-{
-    runTermsInto(query, out, detail);
-}
-
-void
-ApproxAttention::runUnitPartialInto(std::size_t unit,
-                                    const Vector &query,
-                                    PartialResult &out,
-                                    ResultDetail detail) const
-{
-    a3Assert(unit == 0, "single-unit backend asked for unit ", unit);
-    static_cast<SoftmaxTerms &>(out) =
-        runTermsInto(query, out, detail);
 }
 
 }  // namespace a3

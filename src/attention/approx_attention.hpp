@@ -26,6 +26,11 @@ namespace a3 {
  * answers queries with configurable approximation. The preprocessing in
  * the constructor models comprehension-time work; run() models the
  * query-response critical path.
+ *
+ * The approximation is shard-local: a sharded approx backend selects
+ * candidates within each shard, so its merged result is
+ * accuracy-bounded against the unsharded flow rather than bit-tight
+ * (the greedy search sees different competitors).
  */
 class ApproxAttention final : public AttentionBackend
 {
@@ -39,21 +44,14 @@ class ApproxAttention final : public AttentionBackend
      */
     ApproxAttention(Matrix key, Matrix value, ApproxConfig config);
 
-    /** Answer one query (allocation-free; see AttentionBackend). */
-    void runInto(
-        const Vector &query, AttentionResult &out,
-        ResultDetail detail = ResultDetail::Full) const override;
-
     /**
-     * Native unit partial: runInto()'s answer plus the log-sum-exp
-     * terms of its softmax over the kept rows. Note the
-     * approximation is shard-local — a sharded approx backend
-     * selects candidates within each shard, so its merged result is
-     * accuracy-bounded against the unsharded flow rather than
-     * bit-tight (the greedy search sees different competitors).
+     * Answer one query (allocation-free; see AttentionBackend): the
+     * five stages — selection, candidate scoring, post-scoring,
+     * softmax, weighted sum. Returns the softmax's log-sum-exp terms
+     * over the kept rows.
      */
-    void runUnitPartialInto(
-        std::size_t unit, const Vector &query, PartialResult &out,
+    SoftmaxTerms runInto(
+        const Vector &query, AttentionResult &out,
         ResultDetail detail = ResultDetail::Full) const override;
 
     /**
@@ -110,14 +108,6 @@ class ApproxAttention final : public AttentionBackend
   private:
     /** restore() adopts members directly. */
     ApproxAttention() = default;
-
-    /**
-     * The five stages (selection, candidate scoring, post-scoring,
-     * softmax, weighted sum) behind runInto() and
-     * runUnitPartialInto(); returns the softmax's log-sum-exp terms.
-     */
-    SoftmaxTerms runTermsInto(const Vector &query, AttentionResult &out,
-                              ResultDetail detail) const;
 
     Matrix key_;
     Matrix value_;

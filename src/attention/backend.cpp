@@ -1,8 +1,5 @@
 #include "attention/backend.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -39,34 +36,8 @@ AttentionBackend::runUnitPartialInto(std::size_t unit,
                                      PartialResult &out,
                                      ResultDetail detail) const
 {
-    // Derived terms for backends without a native partial path (the
-    // quantized kinds): run the full local pipeline — the kept scores
-    // are needed at either detail — and recompute the log-sum-exp
-    // terms in float from them. The answer itself is the pipeline's
-    // own, so it merges back to runInto() exactly. The Full run goes
-    // to a per-thread result so a lean `out` (often a fresh engine
-    // slot) never grows the n-length arrays.
     a3Assert(unit == 0, "single-unit backend asked for unit ", unit);
-    thread_local AttentionResult local;
-    runInto(query, local, ResultDetail::Full);
-    float maxScore = -std::numeric_limits<float>::infinity();
-    for (const std::uint32_t r : local.kept)
-        maxScore = std::max(maxScore, local.scores[r]);
-    float expSum = 0.0f;
-    for (const std::uint32_t r : local.kept)
-        expSum += std::exp(local.scores[r] - maxScore);
-    out.maxScore = maxScore;
-    out.expSum = expSum;
-    if (detail == ResultDetail::Full) {
-        static_cast<AttentionResult &>(out) = local;
-        return;
-    }
-    out.output = local.output;
-    out.iterations = local.iterations;
-    out.weights.clear();
-    out.scores.clear();
-    out.candidates.clear();
-    out.kept.clear();
+    static_cast<SoftmaxTerms &>(out) = runInto(query, out, detail);
 }
 
 void
@@ -104,38 +75,15 @@ ReferenceAttention::ReferenceAttention(Matrix key, Matrix value)
     Scratch::forThread().reserveTask(key_.rows(), key_.cols());
 }
 
-namespace {
-
-/** Exact attention over every row of the task. */
 SoftmaxTerms
-allRowsInto(const Matrix &key, const Matrix &value, const Vector &query,
-            AttentionResult &out, ResultDetail detail)
-{
-    Scratch &scratch = Scratch::forThread();
-    scratch.rowIds.resize(key.rows());
-    std::iota(scratch.rowIds.begin(), scratch.rowIds.end(), 0u);
-    return subsetAttentionInto(key, value, query, scratch.rowIds, out,
-                               scratch, detail);
-}
-
-}  // namespace
-
-void
 ReferenceAttention::runInto(const Vector &query, AttentionResult &out,
                             ResultDetail detail) const
 {
-    allRowsInto(key_, value_, query, out, detail);
-}
-
-void
-ReferenceAttention::runUnitPartialInto(std::size_t unit,
-                                       const Vector &query,
-                                       PartialResult &out,
-                                       ResultDetail detail) const
-{
-    a3Assert(unit == 0, "single-unit backend asked for unit ", unit);
-    static_cast<SoftmaxTerms &>(out) =
-        allRowsInto(key_, value_, query, out, detail);
+    Scratch &scratch = Scratch::forThread();
+    scratch.rowIds.resize(key_.rows());
+    std::iota(scratch.rowIds.begin(), scratch.rowIds.end(), 0u);
+    return subsetAttentionInto(key_, value_, query, scratch.rowIds, out,
+                               scratch, detail);
 }
 
 void
@@ -286,7 +234,7 @@ ApproxQuantizedAttention::dims() const
     return approx_->dims();
 }
 
-void
+SoftmaxTerms
 ApproxQuantizedAttention::runInto(const Vector &query,
                                   AttentionResult &out,
                                   ResultDetail detail) const
@@ -298,7 +246,9 @@ ApproxQuantizedAttention::runInto(const Vector &query,
     const std::size_t iterations =
         approx_->candidateRowsInto(query, scratch);
     const std::size_t count = scratch.rowIds.size();
+    const bool full = detail == ResultDetail::Full;
 
+    SoftmaxTerms terms;
     if (config.postScoring) {
         // Post-scoring reads the fixed-point scores of every
         // candidate, so the first pass runs at Full detail.
@@ -308,16 +258,24 @@ ApproxQuantizedAttention::runInto(const Vector &query,
             scratch.candScores[i] = out.scores[scratch.rowIds[i]];
         postScoringSelectInto(scratch.rowIds, scratch.candScores,
                               config.scoreGap(), scratch.kept);
-        datapath_->runRowsInto(query, scratch.kept, out, detail);
+        terms =
+            datapath_->runRowsInto(query, scratch.kept, out, detail);
+        // Keep the scores post-scoring inspected, as the float flow
+        // does: only rows never scored hold 0.
+        if (full)
+            for (std::size_t i = 0; i < count; ++i)
+                out.scores[scratch.rowIds[i]] = scratch.candScores[i];
     } else {
-        datapath_->runRowsInto(query, scratch.rowIds, out, detail);
+        terms =
+            datapath_->runRowsInto(query, scratch.rowIds, out, detail);
     }
-    // The final pipeline pass already recorded its row list as
-    // out.kept; only the candidate list and iteration count remain.
-    if (detail == ResultDetail::Full)
+    // The pipeline pass already recorded its row list as out.kept;
+    // only the candidate list and iteration count remain.
+    if (full)
         out.candidates.assign(scratch.rowIds.begin(),
                               scratch.rowIds.end());
     out.iterations = iterations;
+    return terms;
 }
 
 std::string

@@ -90,8 +90,14 @@ class AttentionBackend
      * levels. Reusing one result object across calls reuses its
      * buffers: after the first call at a given task size, no field
      * reallocates.
+     *
+     * Returns the SoftmaxTerms (m, Z) of the softmax behind the
+     * answer, at either detail: the float kinds report the softmax
+     * they computed, the quantized kinds m and Z recomputed in
+     * float from the kept scores, and a sharded or remote backend
+     * the merged terms of its shards (see mergeShardPartials).
      */
-    virtual void runInto(
+    virtual SoftmaxTerms runInto(
         const Vector &query, AttentionResult &out,
         ResultDetail detail = ResultDetail::Full) const = 0;
 
@@ -114,13 +120,9 @@ class AttentionBackend
      * `out`'s buffers; distinct units of one query may run on
      * different threads concurrently.
      *
-     * The float backends override this with a native path that
-     * reports the terms of the softmax they computed. The base
-     * implementation serves the quantized kinds: a Full runInto()
-     * (the kept scores are needed at either detail), then m and Z
-     * recomputed in float from the kept scores. The answer itself
-     * is the pipeline's own, so the truncating divider's weighting
-     * survives untouched.
+     * The base implementation is the whole contract for a
+     * single-unit backend: unit 0 is runInto() at the same detail,
+     * with the terms it returns.
      */
     virtual void runUnitPartialInto(
         std::size_t unit, const Vector &query, PartialResult &out,
@@ -287,11 +289,8 @@ class ReferenceAttention final : public AttentionBackend
     ReferenceAttention(Matrix key, Matrix value);
 
     std::string name() const override { return "reference"; }
-    void runInto(
+    SoftmaxTerms runInto(
         const Vector &query, AttentionResult &out,
-        ResultDetail detail = ResultDetail::Full) const override;
-    void runUnitPartialInto(
-        std::size_t unit, const Vector &query, PartialResult &out,
         ResultDetail detail = ResultDetail::Full) const override;
     void append(const Matrix &keyRows,
                 const Matrix &valueRows) override;
@@ -337,7 +336,7 @@ class ApproxQuantizedAttention final : public AttentionBackend
     ~ApproxQuantizedAttention() override;
 
     std::string name() const override { return "approx-quantized"; }
-    void runInto(
+    SoftmaxTerms runInto(
         const Vector &query, AttentionResult &out,
         ResultDetail detail = ResultDetail::Full) const override;
     void append(const Matrix &keyRows,

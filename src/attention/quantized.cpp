@@ -1,5 +1,6 @@
 #include "attention/quantized.hpp"
 
+#include <cmath>
 #include <numeric>
 #include <type_traits>
 #include <utility>
@@ -280,34 +281,25 @@ QuantizedAttention::memoryBytes() const
            (keyQ4_.size() + valueQ4_.size()) * sizeof(std::uint8_t);
 }
 
-void
+SoftmaxTerms
 QuantizedAttention::runInto(const Vector &query, AttentionResult &out,
                             ResultDetail detail) const
 {
     Scratch &scratch = Scratch::forThread();
     scratch.rowIds.resize(boundRows_);
     std::iota(scratch.rowIds.begin(), scratch.rowIds.end(), 0u);
-    runCore(query, scratch.rowIds, out, scratch, detail);
+    return runRowsInto(query, scratch.rowIds, out, detail);
 }
 
-void
+SoftmaxTerms
 QuantizedAttention::runRowsInto(const Vector &query,
                                 std::span<const std::uint32_t> rows,
-                                AttentionResult &out,
+                                AttentionResult &result,
                                 ResultDetail detail) const
-{
-    runCore(query, rows, out, Scratch::forThread(), detail);
-}
-
-void
-QuantizedAttention::runCore(const Vector &query,
-                            std::span<const std::uint32_t> rows,
-                            AttentionResult &result,
-                            Scratch &scratch,
-                            ResultDetail detail) const
 {
     a3Assert(!rows.empty(), "quantized pipeline needs at least one row");
 
+    Scratch &scratch = Scratch::forThread();
     const std::size_t n = boundRows_;
     const std::size_t d = dims_;
     const std::size_t m = rows.size();
@@ -367,6 +359,15 @@ QuantizedAttention::runCore(const Vector &query,
         }
     }
 
+    // A dot product times its power-of-two LSB is exact in double,
+    // so this is dotProduct.toDouble() without an ldexp() per row.
+    const double lsb = formats_.dotProduct.toDouble(1);
+    const auto score = [lsb](std::int64_t dot) {
+        return static_cast<float>(static_cast<double>(dot) * lsb);
+    };
+    SoftmaxTerms terms;
+    terms.maxScore = score(maxDot);
+
     // --- Module 2: exponent computation (Figure 5 lines 11-16).
     std::vector<std::int64_t> &scoreQ = scratch.scoreQ;
     scoreQ.resize(m);
@@ -377,6 +378,7 @@ QuantizedAttention::runCore(const Vector &query,
                  "shifted-dot stage overflow");
         scoreQ[i] = lut_.lookup(shifted);
         expSum += scoreQ[i];
+        terms.expSum += std::exp(score(dotQ[i]) - terms.maxScore);
     }
     a3Assert(formats_.expSum.fits(expSum), "expsum stage overflow");
     a3Assert(expSum > 0, "expsum must be positive: the max row scores "
@@ -411,8 +413,7 @@ QuantizedAttention::runCore(const Vector &query,
         // Packed and Word32 lanes accumulate the same raw dot
         // product, so one dequantization serves both layouts.
         if (full) {
-            result.scores[r] = static_cast<float>(
-                formats_.dotProduct.toDouble(dotQ[i]));
+            result.scores[r] = score(dotQ[i]);
             result.weights[r] = static_cast<float>(weightV.toDouble());
         }
         if (packedLanes) {
@@ -448,6 +449,7 @@ QuantizedAttention::runCore(const Vector &query,
         result.output[j] =
             static_cast<float>(formats_.output.toDouble(outQ[j]));
     }
+    return terms;
 }
 
 }  // namespace a3

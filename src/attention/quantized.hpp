@@ -55,8 +55,8 @@ class QuantizedAttention final : public AttentionBackend
                        int fracBits,
                        PackedKvFormat packedKv = PackedKvFormat::Auto);
 
-    /** Answer one query against the bound task. */
-    void runInto(
+    /** Answer one query against the bound task (every row). */
+    SoftmaxTerms runInto(
         const Vector &query, AttentionResult &out,
         ResultDetail detail = ResultDetail::Full) const override;
 
@@ -81,15 +81,18 @@ class QuantizedAttention final : public AttentionBackend
     std::size_t memoryBytes() const override;
 
     /**
-     * Run the pipeline over a non-empty row subset (what approximate
-     * A3 feeds the base pipeline after selection), reusing `out`'s
-     * buffers and the calling thread's Scratch. `rows` may alias
-     * Scratch row buffers.
+     * Run the pipeline (Modules 1-3) over a non-empty row subset
+     * (what approximate A3 feeds the base pipeline after selection),
+     * reusing `out`'s buffers and the calling thread's Scratch.
+     * `rows` may alias Scratch row buffers. Returns the softmax
+     * terms in float over the rows' dequantized dot products s_i:
+     * m = max_i s_i and Z = sum_i exp(s_i - m) in row order. The
+     * answer is the pipeline's own, truncating divider included.
      */
-    void runRowsInto(const Vector &query,
-                     std::span<const std::uint32_t> rows,
-                     AttentionResult &out,
-                     ResultDetail detail = ResultDetail::Full) const;
+    SoftmaxTerms runRowsInto(
+        const Vector &query, std::span<const std::uint32_t> rows,
+        AttentionResult &out,
+        ResultDetail detail = ResultDetail::Full) const;
 
     std::string name() const override { return "quantized"; }
 
@@ -133,12 +136,6 @@ class QuantizedAttention final : public AttentionBackend
      */
     QuantizedAttention(int intBits, int fracBits, std::size_t rows,
                        std::size_t dims);
-
-    /** The pipeline over `rows` of the bound task. */
-    void runCore(const Vector &query,
-                 std::span<const std::uint32_t> rows,
-                 AttentionResult &out, Scratch &scratch,
-                 ResultDetail detail) const;
 
     /** Quantize and pack `count` task rows onto the packed arrays. */
     void packRows(const Matrix &keyRows, const Matrix &valueRows,

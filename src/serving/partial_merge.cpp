@@ -19,7 +19,7 @@ prefixShardSizes(std::size_t n, std::size_t shardRows)
     return sizes;
 }
 
-void
+SoftmaxTerms
 mergeShardPartials(const std::vector<PartialResult> &partials,
                    const std::vector<std::size_t> &offsets,
                    std::size_t totalRows, std::size_t dims,
@@ -97,6 +97,7 @@ mergeShardPartials(const std::vector<PartialResult> &partials,
         for (const std::uint32_t id : p.kept)
             out.kept.push_back(globalId(id));
     }
+    return {maxScore, expSum};
 }
 
 }  // namespace a3

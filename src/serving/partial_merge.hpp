@@ -62,11 +62,15 @@ std::vector<std::size_t> prefixShardSizes(std::size_t n,
  * partials — empty weights — yield a lean result. The partials must
  * agree on their detail. output and iterations are bit-identical
  * either way.
+ *
+ * Returns the merged softmax's terms {M, sum_s c_s Z_s} — what a
+ * sharded or remote backend's runInto() reports.
  */
-void mergeShardPartials(const std::vector<PartialResult> &partials,
-                        const std::vector<std::size_t> &offsets,
-                        std::size_t totalRows, std::size_t dims,
-                        AttentionResult &out);
+SoftmaxTerms
+mergeShardPartials(const std::vector<PartialResult> &partials,
+                   const std::vector<std::size_t> &offsets,
+                   std::size_t totalRows, std::size_t dims,
+                   AttentionResult &out);
 
 }  // namespace a3
 

@@ -713,7 +713,7 @@ RemoteShardCoordinator::beginOperation()
         worker.stash.clear();
 }
 
-void
+SoftmaxTerms
 RemoteShardCoordinator::queryAllShards(const Vector &query,
                                        ResultDetail detail,
                                        AttentionResult &out)
@@ -770,18 +770,18 @@ RemoteShardCoordinator::queryAllShards(const Vector &query,
         if (!done)
             recoverShard(shard, query, detail, partials_[s]);
     }
-    mergeShardPartials(partials_, shardOffsets_, key_.rows(), dims_,
-                       out);
+    return mergeShardPartials(partials_, shardOffsets_, key_.rows(),
+                              dims_, out);
 }
 
-void
+SoftmaxTerms
 RemoteShardCoordinator::runInto(const Vector &query,
                                 AttentionResult &out,
                                 ResultDetail detail) const
 {
     auto *self = const_cast<RemoteShardCoordinator *>(this);
     std::lock_guard<std::mutex> lock(mu_);
-    self->queryAllShards(query, detail, out);
+    return self->queryAllShards(query, detail, out);
 }
 
 void

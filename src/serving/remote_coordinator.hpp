@@ -172,9 +172,9 @@ class RemoteShardCoordinator final : public AttentionBackend
      * Fan the query out and merge the shards' unit partials,
      * asking the workers for the dense diagnostics only at
      * ResultDetail::Full — at Output the replies carry zero-count
-     * per-row arrays.
+     * per-row arrays. Returns the merged terms.
      */
-    void runInto(
+    SoftmaxTerms runInto(
         const Vector &query, AttentionResult &out,
         ResultDetail detail = ResultDetail::Full) const override;
     void append(const Matrix &keyRows,
@@ -286,8 +286,9 @@ class RemoteShardCoordinator final : public AttentionBackend
     void runLocal(Shard &shard, const Vector &query,
                   ResultDetail detail, PartialResult &partial);
 
-    void queryAllShards(const Vector &query, ResultDetail detail,
-                        AttentionResult &out);
+    SoftmaxTerms queryAllShards(const Vector &query,
+                                ResultDetail detail,
+                                AttentionResult &out);
 
     void beginOperation();
 

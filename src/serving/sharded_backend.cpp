@@ -128,7 +128,7 @@ ShardedBackend::mergeUnitsInto(
     mergeShardPartials(partials, offsets_, rows(), dims_, out);
 }
 
-void
+SoftmaxTerms
 ShardedBackend::runInto(const Vector &query, AttentionResult &out,
                         ResultDetail detail) const
 {
@@ -143,7 +143,7 @@ ShardedBackend::runInto(const Vector &query, AttentionResult &out,
     partials.resize(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s)
         runUnitPartialInto(s, query, partials[s], detail);
-    mergeUnitsInto(partials, out);
+    return mergeShardPartials(partials, offsets_, rows(), dims_, out);
 }
 
 void

@@ -117,9 +117,9 @@ class ShardedBackend final : public AttentionBackend
      * Answer one query: every shard's unit partial computed serially
      * on the calling thread at `detail`, then mergeUnitsInto(). Row
      * ids in scores, weights, candidates, and kept are global;
-     * iterations sums the shards.
+     * iterations sums the shards. Returns the merged terms.
      */
-    void runInto(
+    SoftmaxTerms runInto(
         const Vector &query, AttentionResult &out,
         ResultDetail detail = ResultDetail::Full) const override;
 

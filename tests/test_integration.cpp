@@ -71,6 +71,8 @@ TEST(Integration, FloatAndQuantizedApproxSelectSameCandidates)
     // Candidate selection runs pre-quantization in both flows, so the
     // candidate sets are identical; post-scoring may differ by rows
     // whose fixed-point score sits within an LSB of the threshold.
+    // Both flows keep every candidate's score in a Full result, not
+    // only the kept rows'.
     EngineConfig floatFlow;
     floatFlow.kind = EngineKind::ApproxFloat;
     floatFlow.approx = ApproxConfig::conservative();
@@ -85,12 +87,19 @@ TEST(Integration, FloatAndQuantizedApproxSelectSameCandidates)
         const AttentionResult fl =
             makeBackend(floatFlow, task.key, task.value)
                 ->run(task.queries[0]);
-        const AttentionResult qu =
-            makeBackend(quantizedFlow, task.key, task.value)
-                ->run(task.queries[0]);
+        const auto quantized =
+            makeBackend(quantizedFlow, task.key, task.value);
+        const AttentionResult qu = quantized->run(task.queries[0]);
         ASSERT_FALSE(fl.candidates.empty());
         EXPECT_EQ(fl.candidates, qu.candidates);
         EXPECT_EQ(fl.iterations, qu.iterations);
+
+        AttentionResult allCandidates;
+        dynamic_cast<const ApproxQuantizedAttention &>(*quantized)
+            .datapath()
+            .runRowsInto(task.queries[0], qu.candidates, allCandidates);
+        for (const std::uint32_t r : qu.candidates)
+            EXPECT_EQ(qu.scores[r], allCandidates.scores[r]) << r;
     }
 }
 

@@ -871,17 +871,11 @@ class HintRecordingBackend final : public AttentionBackend
     }
 
     std::string name() const override { return "hint-recorder"; }
-    void runInto(
+    SoftmaxTerms runInto(
         const Vector &query, AttentionResult &out,
         ResultDetail detail = ResultDetail::Full) const override
     {
-        inner_.runInto(query, out, detail);
-    }
-    void runUnitPartialInto(
-        std::size_t unit, const Vector &query, PartialResult &out,
-        ResultDetail detail = ResultDetail::Full) const override
-    {
-        inner_.runUnitPartialInto(unit, query, out, detail);
+        return inner_.runInto(query, out, detail);
     }
     void append(const Matrix &keyRows,
                 const Matrix &valueRows) override

@@ -178,28 +178,90 @@ TEST(PartialResultContract, UnitPartialMergesToRunIntoFloatKinds)
     }
 }
 
-TEST(PartialResultContract, DerivedFallbackPreservesWeighting)
+/** The float log-sum-exp terms of a Full result's kept scores. */
+SoftmaxTerms
+keptScoreTerms(const AttentionResult &full)
 {
-    // The quantized kinds use the base-class derivation: the unit
-    // partial is the pipeline's own normalized answer plus float
-    // log-sum-exp terms, so merging it alone recovers runInto() —
-    // truncating-divider weights included — bit for bit.
-    Rng rng(11100);
+    float maxScore = -std::numeric_limits<float>::infinity();
+    for (const std::uint32_t r : full.kept)
+        maxScore = std::max(maxScore, full.scores[r]);
+    float expSum = 0.0f;
+    for (const std::uint32_t r : full.kept)
+        expSum += std::exp(full.scores[r] - maxScore);
+    return {maxScore, expSum};
+}
+
+void
+expectSameTerms(const SoftmaxTerms &got, const SoftmaxTerms &want)
+{
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got.maxScore),
+              std::bit_cast<std::uint32_t>(want.maxScore));
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got.expSum),
+              std::bit_cast<std::uint32_t>(want.expSum));
+}
+
+TEST(PartialResultContract, QuantizedTermsAreKeptScoreTerms)
+{
+    // A quantized unit partial is the pipeline's own normalized
+    // answer — truncating-divider weights included — plus m and Z
+    // recomputed in float from the kept scores, in kept order. Pin
+    // those terms bit for bit on every lane layout, with and without
+    // post-scoring, at both details.
+    struct Lane
+    {
+        PackedKvFormat format;
+        int intBits;
+        int fracBits;
+    };
+    constexpr Lane kLanes[] = {{PackedKvFormat::Word32, 6, 10},
+                               {PackedKvFormat::Int8, 3, 4},
+                               {PackedKvFormat::Int4, 1, 2}};
+    struct Flow
+    {
+        EngineKind kind;
+        bool postScoring;
+    };
+    constexpr Flow kFlows[] = {{EngineKind::ExactQuantized, false},
+                               {EngineKind::ApproxQuantized, true},
+                               {EngineKind::ApproxQuantized, false}};
     const std::size_t d = 8;
-    for (const EngineKind kind :
-         {EngineKind::ExactQuantized, EngineKind::ApproxQuantized}) {
-        SCOPED_TRACE(engineKindName(kind));
-        EngineConfig cfg;
-        cfg.kind = kind;
-        cfg.intBits = 6;
-        cfg.fracBits = 10;
-        const auto backend = makeBackend(cfg, randomMatrix(rng, 24, d),
-                                         randomMatrix(rng, 24, d));
-        const Vector q = randomQuery(rng, d);
-        PartialResult partial;
-        expectBitIdentical(mergedUnit(*backend, q, partial),
-                           backend->run(q));
-        EXPECT_GE(partial.expSum, 1.0f);
+    for (const Lane &lane : kLanes) {
+        for (const Flow &flow : kFlows) {
+            EngineConfig cfg;
+            cfg.kind = flow.kind;
+            cfg.intBits = lane.intBits;
+            cfg.fracBits = lane.fracBits;
+            cfg.packedKv = lane.format;
+            cfg.approx.postScoring = flow.postScoring;
+            for (std::uint64_t seed = 0; seed < 4; ++seed) {
+                SCOPED_TRACE(std::string(engineKindName(flow.kind)) +
+                             " " + packedKvFormatName(lane.format) +
+                             " postScoring=" +
+                             std::to_string(flow.postScoring) +
+                             " seed=" + std::to_string(seed));
+                Rng rng(11100 + seed);
+                const auto backend =
+                    makeBackend(cfg, randomMatrix(rng, 24, d),
+                                randomMatrix(rng, 24, d));
+                const Vector q = randomQuery(rng, d);
+                const AttentionResult full = backend->run(q);
+                const SoftmaxTerms want = keptScoreTerms(full);
+                EXPECT_GE(want.expSum, 1.0f);
+                for (const ResultDetail detail :
+                     {ResultDetail::Output, ResultDetail::Full}) {
+                    AttentionResult answer;
+                    expectSameTerms(backend->runInto(q, answer, detail),
+                                    want);
+                    PartialResult partial;
+                    backend->runUnitPartialInto(0, q, partial, detail);
+                    expectSameTerms(partial, want);
+                    EXPECT_EQ(partial.output, full.output);
+                }
+                PartialResult partial;
+                expectBitIdentical(mergedUnit(*backend, q, partial),
+                                   full);
+            }
+        }
     }
 }
 

@@ -513,6 +513,37 @@ TEST(TraceReplay, DeterministicAcrossRuns)
     EXPECT_EQ(a.resultHash, b.resultHash);
 }
 
+/** resultHash of a short sharded replay of smallConfig()'s trace. */
+std::uint64_t
+shardedReplayHash(EngineKind kind)
+{
+    TraceConfig traceConfig = smallConfig();
+    traceConfig.durationSeconds = 2.0;
+    const Trace trace = generateTrace(traceConfig);
+    AttentionEngine engine(2);
+    ReplayConfig config;
+    config.engine.kind = kind;
+    config.dims = 16;
+    config.shardRows = 64;
+    config.maxBatch = 8;
+    const ReplayReport report = replayTrace(trace, engine, config);
+    EXPECT_EQ(report.failedQueries, 0u);
+    EXPECT_GT(report.served, 0u);
+    return report.resultHash;
+}
+
+TEST(TraceReplay, GoldenResultHash)
+{
+    // Pinned answer bits of the quantized datapath through the whole
+    // serving path (sharded binds, engine units, merge). The values
+    // are the same with the SIMD kernels and with
+    // A3_FORCE_SCALAR_KERNELS=1; a change here changes answers.
+    EXPECT_EQ(shardedReplayHash(EngineKind::ExactQuantized),
+              9952666589212739250ull);
+    EXPECT_EQ(shardedReplayHash(EngineKind::ApproxQuantized),
+              8904097093213817129ull);
+}
+
 TEST(TraceReplay, DeadlineAccountingInVirtualTime)
 {
     TraceConfig traceConfig = smallConfig();

@@ -12,7 +12,8 @@
  *  - S = 1 sharded is the plain backend, and store-backed is
  *    store-less;
  *  - the remote coordinator over in-process workers is the
- *    in-process sharded backend;
+ *    in-process sharded backend, and its one unit carries the terms
+ *    of the merge over the sharded backend's units;
  *  - engine-parallel groups are the serial calls;
  *  - output is the same at Output and Full;
  *  - S > 1 exact-float results stay within the documented ULP bound
@@ -172,6 +173,15 @@ answer(const AttentionBackend &backend, const Vector &query,
     AttentionResult out;
     backend.runInto(query, out, detail);
     return out;
+}
+
+void
+expectSameTerms(const SoftmaxTerms &got, const SoftmaxTerms &want)
+{
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got.maxScore),
+              std::bit_cast<std::uint32_t>(want.maxScore));
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got.expSum),
+              std::bit_cast<std::uint32_t>(want.expSum));
 }
 
 /** Map a float onto the lexicographically ordered integer line. */
@@ -375,10 +385,29 @@ TEST(UnitContract, RemoteMatchesInProcess)
             const ShardedBackend sharded(
                 config, shape.key, shape.value,
                 ShardedConfig{shape.shardRows});
-            for (const Vector &q : shape.queries)
-                for (const ResultDetail detail : kBothDetails)
+            std::vector<std::size_t> offsets;
+            for (std::size_t s = 0; s < sharded.shardCount(); ++s)
+                offsets.push_back(sharded.shardOffset(s));
+            for (const Vector &q : shape.queries) {
+                for (const ResultDetail detail : kBothDetails) {
                     expectBitIdentical(answer(remote, q, detail),
                                        answer(sharded, q, detail));
+                    // The coordinator's one unit carries the terms
+                    // of the merge over the in-process shard units.
+                    PartialResult unit;
+                    remote.runUnitPartialInto(0, q, unit, detail);
+                    std::vector<PartialResult> shardUnits(
+                        sharded.workUnitCount());
+                    for (std::size_t u = 0; u < shardUnits.size(); ++u)
+                        sharded.runUnitPartialInto(u, q, shardUnits[u],
+                                                   detail);
+                    AttentionResult merged;
+                    const SoftmaxTerms want = mergeShardPartials(
+                        shardUnits, offsets, sharded.rows(),
+                        sharded.dims(), merged);
+                    expectSameTerms(unit, want);
+                }
+            }
             EXPECT_EQ(remote.stats().localFallbacks, 0u);
         }
     }
