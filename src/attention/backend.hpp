@@ -208,21 +208,6 @@ class AttentionBackend
      * slack. Not thread-safe (like append()).
      */
     virtual std::size_t compact() { return 0; }
-
-    /**
-     * Advisory remaining-deadline hint for the next queries, in
-     * seconds (<= 0 clears the hint). The BatchScheduler publishes
-     * each drained group's tightest remaining budget before the
-     * engine pass; backends that wait on external resources (the
-     * remote shard coordinator) clamp their per-query waits to it.
-     * Purely advisory and monotonic-cheap: the default is a no-op,
-     * and implementations store it in a relaxed atomic — the hint
-     * must be settable on a const backend from the drain thread.
-     */
-    virtual void queryDeadlineHint(double remainingSeconds) const
-    {
-        (void)remainingSeconds;
-    }
 };
 
 /** Which functional engine answers the queries. */

@@ -49,27 +49,20 @@ struct AdmissionPolicy
      * Target request latency driving the adaptive queue-depth bound:
      * when set, the scheduler derives its effective depth as
      * target-latency / observed-p95-per-request-service-time
-     * (clamped below by minAdaptiveQueueDepth) and sheds submits
-     * beyond it with RejectedAdaptiveDepth — a queue deeper than
-     * that cannot meet the target no matter how it is ordered. The
-     * signal is the scheduler's per-request service reservoir; until
-     * enough drains have landed samples, the adaptive bound is
-     * inactive and only the static maxQueueDepth applies.
-     * 0 = disabled.
+     * (never below 1, so a service-time spike cannot shed a submit
+     * into an empty queue) and sheds submits beyond it with
+     * RejectedAdaptiveDepth — a queue deeper than that cannot meet
+     * the target no matter how it is ordered. The signal is the
+     * scheduler's per-request service reservoir; until enough drains
+     * have landed samples, the adaptive bound is inactive and only
+     * the static maxQueueDepth applies. 0 = disabled.
      */
     double targetLatencySeconds = 0.0;
-
-    /**
-     * Floor of the adaptive depth, so a service-time spike cannot
-     * shed every submit: the derived depth never falls below this
-     * many requests. Only consulted when targetLatencySeconds is
-     * set.
-     */
-    std::size_t minAdaptiveQueueDepth = 1;
 };
 
-/** Why a submit() was admitted or shed (or, for the deadline
- *  decisions, why a queued request was shed later). */
+/** Why a submit() was admitted or shed. A queued request whose
+ *  deadline expires before a drain claims it is admitted here and
+ *  shed later through ServingError::DeadlineExpired. */
 enum class AdmissionDecision : std::uint8_t {
     Admitted,
     /** Queue already holds maxQueueDepth requests. */
@@ -83,11 +76,6 @@ enum class AdmissionDecision : std::uint8_t {
      *  claimed next (queued work ahead of it × p95 service time
      *  already exceeds the budget). */
     RejectedDeadlineUnmeetable,
-    /** Shed at drain time: the request's queue wait had already
-     *  blown its deadline when a drain claimed it. Reported through
-     *  ServingError::DeadlineExpired on the completion, never
-     *  through submit(). */
-    ShedDeadlineExpired,
 };
 
 /** Stable lowercase name of a decision, for logs and bench JSON. */
@@ -105,8 +93,6 @@ admissionDecisionName(AdmissionDecision decision)
         return "rejected_adaptive_depth";
     case AdmissionDecision::RejectedDeadlineUnmeetable:
         return "rejected_deadline_unmeetable";
-    case AdmissionDecision::ShedDeadlineExpired:
-        return "shed_deadline_expired";
     }
     return "unknown";
 }

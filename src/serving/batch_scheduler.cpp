@@ -76,7 +76,7 @@ BatchScheduler::submit(const SessionHandle &handle, Vector query,
     // and drain() reclaims it once the session idles again).
     auto it = sessions_.find(session);
     if (policy_.maxPendingPerSession != 0 && it != sessions_.end() &&
-        it->second.pendingTotal >= policy_.maxPendingPerSession) {
+        it->second.pending.size() >= policy_.maxPendingPerSession) {
         ++counters_.rejectedSessionCap;
         return {AdmissionDecision::RejectedSessionCap, 0};
     }
@@ -96,23 +96,11 @@ BatchScheduler::submit(const SessionHandle &handle, Vector query,
     if (it == sessions_.end())
         it = sessions_.emplace(session, SessionState{}).first;
     SessionState &state = it->second;
-    ClassLane *lane = nullptr;
-    for (ClassLane &candidate : state.lanes) {
-        if (candidate.klass == options.requestClass) {
-            lane = &candidate;
-            break;
-        }
-    }
-    if (lane == nullptr) {
-        state.lanes.push_back(ClassLane{options.requestClass, {}, 0});
-        lane = &state.lanes.back();
-    }
     const std::uint64_t ticket = nextTicket_++;
-    if (state.pendingTotal == 0)
+    if (state.pending.empty())
         activeOrder_.push_back(session);
-    lane->pending.push_back({ticket, std::move(query), submitSeconds,
+    state.pending.push_back({ticket, std::move(query), submitSeconds,
                              options.deadlineSeconds, options.detail});
-    ++state.pendingTotal;
     ++pendingCount_;
     return {AdmissionDecision::Admitted, ticket};
 }
@@ -133,34 +121,8 @@ BatchScheduler::setSessionWeight(const std::string &session,
         return;
     }
     it->second.weight = weight;
-    if (weight == 1 && it->second.pendingTotal == 0)
+    if (weight == 1 && it->second.pending.empty())
         sessions_.erase(it);
-}
-
-void
-BatchScheduler::setClassWeight(const std::string &klass,
-                               std::size_t weight)
-{
-    a3Assert(weight > 0, "class weight must be positive");
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (weight == 1)
-        classWeights_.erase(klass);
-    else
-        classWeights_[klass] = weight;
-}
-
-std::size_t
-BatchScheduler::classWeightLocked(const std::string &klass) const
-{
-    const auto it = classWeights_.find(klass);
-    return it == classWeights_.end() ? 1 : it->second;
-}
-
-std::size_t
-BatchScheduler::classWeight(const std::string &klass) const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return classWeightLocked(klass);
 }
 
 std::size_t
@@ -239,7 +201,7 @@ BatchScheduler::pendingFor(const std::string &session) const
 {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = sessions_.find(session);
-    return it == sessions_.end() ? 0 : it->second.pendingTotal;
+    return it == sessions_.end() ? 0 : it->second.pending.size();
 }
 
 std::size_t
@@ -255,17 +217,16 @@ BatchScheduler::drain()
     const double claimSeconds = nowSeconds();
 
     // Claim this drain's share of the queue by weighted round-robin:
-    // each pass over the pending sessions hands every session's
-    // class lane up to session-weight × class-weight slots,
-    // repeating until the batch is full or the queue empty, so a
-    // truncated drain interleaves sessions instead of answering the
-    // globally oldest tickets first. Within one lane the FIFO
-    // preserves ticket order, and tickets are assigned under the
-    // same lock, so the per-lane claim order is the per-lane ticket
-    // order. A claimed request whose queue wait has already blown
-    // its deadline is shed here with a typed DeadlineExpired
-    // completion — it consumes no batch slot, so expired backlog
-    // cannot crowd live work out of the pass.
+    // each pass over the pending sessions hands every session up to
+    // its weight in slots, repeating until the batch is full or the
+    // queue empty, so a truncated drain interleaves sessions instead
+    // of answering the globally oldest tickets first. Within one
+    // session the FIFO preserves ticket order, and tickets are
+    // assigned under the same lock, so the per-session claim order is
+    // the per-session ticket order. A claimed request whose queue
+    // wait has already blown its deadline is shed here with a typed
+    // DeadlineExpired completion — it consumes no batch slot, so
+    // expired backlog cannot crowd live work out of the pass.
     std::vector<ServingResult> completions;
     std::vector<PendingRequest> batch;
     std::vector<std::string> batchSession;
@@ -295,47 +256,36 @@ BatchScheduler::drain()
                 const std::string &name =
                     activeOrder_[(start + i) % activeOrder_.size()];
                 SessionState &state = sessions_[name];
-                for (ClassLane &lane : state.lanes) {
-                    const std::size_t slots =
-                        state.weight * classWeightLocked(lane.klass);
-                    std::size_t claimed = 0;
-                    while (claimed < slots &&
-                           !lane.pending.empty() &&
-                           batch.size() < take) {
-                        PendingRequest &request =
-                            lane.pending.front();
-                        // The ordering guarantee across truncation
-                        // boundaries: a lane's tickets leave the
-                        // queue strictly ascending, drain after
-                        // drain.
-                        a3Assert(
-                            request.ticket > lane.lastClaimedTicket,
-                            "session \"", name,
-                            "\" would be answered out of ticket "
-                            "order");
-                        lane.lastClaimedTicket = request.ticket;
-                        --state.pendingTotal;
-                        --pendingCount_;
-                        progress = true;
-                        const double wait =
-                            claimSeconds - request.submitSeconds;
-                        if (request.deadlineSeconds > 0.0 &&
-                            wait > request.deadlineSeconds) {
-                            ++counters_.shedDeadlineExpired;
-                            queueWait_.add(std::max(0.0, wait));
-                            completions.push_back(
-                                {request.ticket, name, {},
-                                 ServingError::DeadlineExpired});
-                            lane.pending.pop_front();
-                            continue;  // no batch slot consumed
-                        }
-                        batchSession.push_back(name);
-                        batch.push_back(std::move(request));
-                        lane.pending.pop_front();
-                        ++claimed;
+                std::size_t claimed = 0;
+                while (claimed < state.weight &&
+                       !state.pending.empty() && batch.size() < take) {
+                    PendingRequest &request = state.pending.front();
+                    // The ordering guarantee across truncation
+                    // boundaries: a session's tickets leave the queue
+                    // strictly ascending, drain after drain.
+                    a3Assert(request.ticket > state.lastClaimedTicket,
+                             "session \"", name,
+                             "\" would be answered out of ticket "
+                             "order");
+                    state.lastClaimedTicket = request.ticket;
+                    --pendingCount_;
+                    progress = true;
+                    const double wait =
+                        claimSeconds - request.submitSeconds;
+                    if (request.deadlineSeconds > 0.0 &&
+                        wait > request.deadlineSeconds) {
+                        ++counters_.shedDeadlineExpired;
+                        queueWait_.add(std::max(0.0, wait));
+                        completions.push_back(
+                            {request.ticket, name, {},
+                             ServingError::DeadlineExpired});
+                        state.pending.pop_front();
+                        continue;  // no batch slot consumed
                     }
-                    if (batch.size() >= take)
-                        break;
+                    batchSession.push_back(name);
+                    batch.push_back(std::move(request));
+                    state.pending.pop_front();
+                    ++claimed;
                 }
             }
             a3Assert(progress,
@@ -348,13 +298,13 @@ BatchScheduler::drain()
         // session ids per conversation does not grow sessions_
         // without bound. Tickets are globally monotonic, so a
         // re-materialized entry (lastClaimedTicket back at 0) still
-        // satisfies the per-lane ordering assert.
+        // satisfies the per-session ordering assert.
         activeOrder_.erase(
             std::remove_if(activeOrder_.begin(), activeOrder_.end(),
                            [this](const std::string &name) {
                                const auto entry =
                                    sessions_.find(name);
-                               if (entry->second.pendingTotal != 0)
+                               if (!entry->second.pending.empty())
                                    return false;
                                if (entry->second.weight == 1)
                                    sessions_.erase(entry);
@@ -378,8 +328,6 @@ BatchScheduler::drain()
     std::vector<std::shared_ptr<AttentionBackend>> pinned;
     std::vector<std::string> sessionOf;
     std::vector<std::vector<std::uint64_t>> ticketsOf;
-    /** Minimum remaining deadline budget per group; 0 = none. */
-    std::vector<double> groupBudget;
     std::unordered_map<std::string, std::size_t> groupIndex;
     for (std::size_t r = 0; r < batch.size(); ++r) {
         const std::string &session = batchSession[r];
@@ -396,7 +344,6 @@ BatchScheduler::drain()
                 g = sessionOf.size();
                 sessionOf.push_back(session);
                 ticketsOf.emplace_back();
-                groupBudget.push_back(0.0);
                 groups.push_back(
                     {backend.get(), {}, ResultDetail::Output});
                 pinned.push_back(std::move(backend));
@@ -408,34 +355,10 @@ BatchScheduler::drain()
                                    ServingError::SessionUnbound});
             continue;
         }
-        if (batch[r].deadlineSeconds > 0.0) {
-            // Expired requests were shed at claim time, so the
-            // remaining budget is positive here.
-            const double remaining =
-                batch[r].deadlineSeconds -
-                (claimSeconds - batch[r].submitSeconds);
-            if (remaining > 0.0 &&
-                (groupBudget[g] == 0.0 || remaining < groupBudget[g]))
-                groupBudget[g] = remaining;
-        }
         if (batch[r].detail == ResultDetail::Full)
             groups[g].detail = ResultDetail::Full;
         groups[g].queries.push_back(std::move(batch[r].query));
         ticketsOf[g].push_back(batch[r].ticket);
-    }
-
-    // Publish each group's tightest remaining budget to its backend
-    // before the pass: a remote-coordinated session caps its
-    // per-query worker waits at the request's actual remaining time
-    // instead of the coordinator's static queryDeadlineSeconds, so a
-    // request that already spent most of its budget queueing cannot
-    // stall the drain for the full static deadline on a sick worker.
-    std::size_t hintedGroups = 0;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (groupBudget[g] > 0.0) {
-            groups[g].backend->queryDeadlineHint(groupBudget[g]);
-            ++hintedGroups;
-        }
     }
 
     // Local results: each drain owns its buffers, so concurrent
@@ -481,7 +404,6 @@ BatchScheduler::drain()
         counters_.answered += completions.size();
         counters_.groups += groups.size();
         counters_.workUnits += passUnits;
-        counters_.deadlineHintedGroups += hintedGroups;
         // Queue wait is measured submit-to-claim; a submit that raced
         // in between our clock read and the claim lock can look
         // sub-zero by the race window, so clamp at 0.
@@ -501,10 +423,9 @@ BatchScheduler::drain()
             serviceP95_ = requestService_.percentile(0.95);
             if (policy_.targetLatencySeconds > 0.0 &&
                 serviceP95_ > 0.0) {
-                adaptiveDepth_ = std::max(
-                    policy_.minAdaptiveQueueDepth,
-                    static_cast<std::size_t>(
-                        policy_.targetLatencySeconds / serviceP95_));
+                const auto depth = static_cast<std::size_t>(
+                    policy_.targetLatencySeconds / serviceP95_);
+                adaptiveDepth_ = std::max<std::size_t>(1, depth);
             }
         }
     }

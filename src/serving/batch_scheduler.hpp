@@ -8,35 +8,33 @@
  * each shed request gets a typed AdmissionOutcome naming the limit
  * that rejected it (queue depth, per-session cap, adaptive depth, or
  * an unmeetable deadline — see serving/admission.hpp). Requests may
- * carry a per-request deadline and a request class (SubmitOptions): a
- * claimed request whose queue wait already blew its deadline is shed
- * at drain time with a typed ServingError::DeadlineExpired completion
- * instead of being executed, and when
- * AdmissionPolicy::targetLatencySeconds is set the effective queue
- * depth adapts to target-latency / observed-p95-service-time (the
- * per-request service reservoir is the signal). drain() forms its
- * batch by weighted round-robin over the sessions with pending work —
- * each pass hands every session's class lane up to session-weight ×
- * class-weight slots — so one chatty or sharded-huge session (or one
- * low-priority class) cannot starve the rest when maxBatch truncates
- * the drain. The claimed requests are coalesced into one
- * AttentionRequestGroup per session and driven through
- * AttentionEngine::runGroupsInto in one batched, multi-threaded pass
- * that flattens every (query, shard) work unit onto the engine's
- * lanes.
+ * carry a per-request deadline (SubmitOptions): a claimed request
+ * whose queue wait already blew its deadline is shed at drain time
+ * with a typed ServingError::DeadlineExpired completion instead of
+ * being executed, and when AdmissionPolicy::targetLatencySeconds is
+ * set the effective queue depth adapts to
+ * target-latency / observed-p95-service-time (the per-request service
+ * reservoir is the signal). Each session holds one FIFO, and drain()
+ * forms its batch by weighted round-robin over the sessions with
+ * pending work — each pass hands every session up to its weight in
+ * slots — so one chatty or sharded-huge session cannot starve the
+ * rest when maxBatch truncates the drain. The claimed requests are
+ * coalesced into one AttentionRequestGroup per session and driven
+ * through AttentionEngine::runGroupsInto in one batched,
+ * multi-threaded pass that flattens every (query, shard) work unit
+ * onto the engine's lanes.
  *
  * Determinism guarantee: drain() returns results sorted by ticket,
- * requests within a session's class lane are always claimed in
- * ticket order across any sequence of truncated drains (asserted; a
- * single-class workload reduces to per-session ticket order) — so
- * drains called from one thread, or sequentially, answer each lane
- * in ticket order; concurrent drain() calls own disjoint claims and
- * may return their batches in either order — and every answer's
- * output is bit-identical to a sequential backend.run(query) — the
- * engine guarantee; at ResultDetail::Full the whole result is —
- * regardless of batch composition, weights, admission
- * policy, deadlines, coalescing, cache hits, appends between
- * drains, or the engine's thread count.
+ * requests within a session are always claimed in ticket order across
+ * any sequence of truncated drains (asserted) — so drains called from
+ * one thread, or sequentially, answer each session in ticket order;
+ * concurrent drain() calls own disjoint claims and may return their
+ * batches in either order — and every answer's output is
+ * bit-identical to a sequential backend.run(query) — the engine
+ * guarantee; at ResultDetail::Full the whole result is — regardless
+ * of batch composition, weights, admission policy, deadlines,
+ * coalescing, cache hits, appends between drains, or the engine's
+ * thread count.
  *
  * Telemetry: per-request queue wait (submit to claim) and per-drain /
  * per-group service times are recorded into fixed-size
@@ -87,7 +85,7 @@ const char *servingErrorName(ServingError error);
 
 /**
  * Per-request submit() knobs beyond the session and query. The
- * defaults mean no deadline and the default request class.
+ * defaults mean no deadline and an Output-detail answer.
  */
 struct SubmitOptions
 {
@@ -101,14 +99,6 @@ struct SubmitOptions
      * up front with RejectedDeadlineUnmeetable.
      */
     double deadlineSeconds = 0.0;
-
-    /**
-     * Request class for weighted scheduling: within one session,
-     * each distinct class gets its own FIFO lane, and a drain pass
-     * hands a lane up to session-weight × class-weight slots (see
-     * setClassWeight). The empty string is the default class.
-     */
-    std::string requestClass;
 
     /**
      * How much of the answer the caller needs. The default Output
@@ -180,13 +170,6 @@ struct BatchSchedulerStats
      *  factor the engine scheduled at. */
     std::uint64_t workUnits = 0;
 
-    /** Request groups that carried a deadline into the engine pass:
-     *  before each pass, every group holding >= 1 deadline request
-     *  gets its minimum remaining budget published to the backend
-     *  via queryDeadlineHint() (remote coordinators tighten their
-     *  per-query waits to it instead of the static config). */
-    std::uint64_t deadlineHintedGroups = 0;
-
     /** Total shed submits; submitted - rejected() were admitted. */
     std::uint64_t rejected() const
     {
@@ -197,10 +180,9 @@ struct BatchSchedulerStats
     /**
      * Effective queue-depth bound at snapshot time: 0 while the
      * adaptive bound is disabled or still unlearned, else
-     * max(minAdaptiveQueueDepth, targetLatencySeconds / p95). A
-     * signal, not a counter — resetCounters() leaves it (and the
-     * service reservoir feeding it) alone so a bench warm-up reset
-     * does not blind admission.
+     * max(1, targetLatencySeconds / p95). A signal, not a counter —
+     * resetCounters() leaves it (and the service reservoir feeding
+     * it) alone so a bench warm-up reset does not blind admission.
      */
     std::size_t adaptiveQueueDepth = 0;
 
@@ -250,8 +232,7 @@ class BatchScheduler
      * per the admission policy. Thread-safe; tickets of admitted
      * requests increase in admission order. `options` adds a
      * deadline (shed-on-expiry plus the up-front unmeetable check)
-     * and/or a request class (its own FIFO lane, weighted by
-     * setClassWeight).
+     * and chooses the answer's detail.
      *
      * An invalid (default-constructed) handle is a contract
      * violation and aborts. The request is queued under the handle's
@@ -276,23 +257,10 @@ class BatchScheduler
     std::size_t sessionWeight(const std::string &session) const;
 
     /**
-     * Weighted share of one request class, across every session: a
-     * drain pass hands each session's lane for `klass` up to
-     * session-weight × class-weight slots (>= 1; every class
-     * defaults to 1, including the default empty-string class).
-     * Takes effect at the next drain().
-     */
-    void setClassWeight(const std::string &klass, std::size_t weight);
-
-    /** Current weight of request class `klass` (1 unless set). */
-    std::size_t classWeight(const std::string &klass) const;
-
-    /**
      * Effective adaptive queue-depth bound: 0 while disabled
      * (policy.targetLatencySeconds unset) or unlearned (no service
-     * samples yet), else max(minAdaptiveQueueDepth,
-     * targetLatencySeconds / observed-p95-service-time), re-derived
-     * after every drain.
+     * samples yet), else max(1, targetLatencySeconds /
+     * observed-p95-service-time), re-derived after every drain.
      */
     std::size_t adaptiveQueueDepth() const;
 
@@ -334,8 +302,8 @@ class BatchScheduler
 
     /**
      * Zero the usage counters and latency reservoirs — including the
-     * deadline/adaptive shed counters; queued requests, session and
-     * class weights, the ticket clock, and the adaptive-depth signal
+     * deadline/adaptive shed counters; queued requests, session
+     * weights, the ticket clock, and the adaptive-depth signal
      * (the per-request service reservoir and the derived bound) are
      * untouched — the last so a bench warm-up reset does not blind
      * admission. Benches and the CI regression gate reset after
@@ -355,27 +323,16 @@ class BatchScheduler
         ResultDetail detail = ResultDetail::Output;
     };
 
-    /** One request class's FIFO within a session. */
-    struct ClassLane
+    /** Per-session FIFO plus scheduling state. */
+    struct SessionState
     {
-        std::string klass;
         std::deque<PendingRequest> pending;
         /**
          * Last ticket handed to a drain, persisted across drains to
-         * assert the per-lane ordering guarantee over truncation
+         * assert the per-session ordering guarantee over truncation
          * boundaries.
          */
         std::uint64_t lastClaimedTicket = 0;
-    };
-
-    /** Per-session class lanes plus scheduling state. */
-    struct SessionState
-    {
-        /** Lanes in first-use order; most sessions hold exactly one
-         *  (the default class). */
-        std::vector<ClassLane> lanes;
-        /** Pending requests across the lanes. */
-        std::size_t pendingTotal = 0;
         std::size_t weight = 1;
     };
 
@@ -389,9 +346,6 @@ class BatchScheduler
      *  sample summarizes a whole drain. */
     static constexpr std::size_t kRequestServiceWindow = 512;
 
-    /** classWeight() without taking mutex_ (callers hold it). */
-    std::size_t classWeightLocked(const std::string &klass) const;
-
     AttentionEngine &engine_;
     SessionCache &cache_;
     std::size_t maxBatch_ = 0;
@@ -400,8 +354,6 @@ class BatchScheduler
     mutable std::mutex mutex_;
     std::uint64_t nextTicket_ = 1;
     std::unordered_map<std::string, SessionState> sessions_;
-    /** Per-class scheduling weights (absent = 1). */
-    std::unordered_map<std::string, std::size_t> classWeights_;
     /** Sessions with pending work, ordered by first-pending arrival;
      *  the weighted round-robin iterates this. */
     std::vector<std::string> activeOrder_;

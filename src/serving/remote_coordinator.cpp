@@ -127,43 +127,10 @@ RemoteShardCoordinator::RemoteShardCoordinator(
         offset += sizes[s];
     }
     ensureReplicationAll(/*countRebinds=*/false);
-
-    // The background heartbeat starts only after the shards are
-    // fully bound, so the thread never observes a half-constructed
-    // coordinator. It shares heartbeat() with direct callers — the
-    // coordinator mutex serializes them.
-    if (config_.heartbeatPeriodSeconds > 0.0) {
-        const std::chrono::duration<double> period(
-            config_.heartbeatPeriodSeconds);
-        heartbeatThread_ = std::thread([this, period] {
-            std::unique_lock<std::mutex> lock(hbMu_);
-            while (true) {
-                hbCv_.wait_for(lock, period,
-                               [this] { return hbStop_; });
-                if (hbStop_)
-                    return;
-                // Probe outside hbMu_ so a destructor's stop request
-                // never waits behind a full heartbeat sweep.
-                lock.unlock();
-                heartbeat();
-                lock.lock();
-            }
-        });
-    }
 }
 
 RemoteShardCoordinator::~RemoteShardCoordinator()
 {
-    // Stop the background heartbeat before tearing the transports
-    // down: the thread must never probe a worker mid-shutdown.
-    if (heartbeatThread_.joinable()) {
-        {
-            const std::lock_guard<std::mutex> lock(hbMu_);
-            hbStop_ = true;
-        }
-        hbCv_.notify_all();
-        heartbeatThread_.join();
-    }
     for (Worker &worker : workers_) {
         if (worker.transport == nullptr)
             continue;
@@ -190,27 +157,6 @@ std::size_t
 RemoteShardCoordinator::dims() const
 {
     return dims_;
-}
-
-void
-RemoteShardCoordinator::queryDeadlineHint(
-    double remainingSeconds) const
-{
-    deadlineHintSeconds_.store(
-        remainingSeconds > 0.0 ? remainingSeconds : 0.0,
-        std::memory_order_relaxed);
-}
-
-double
-RemoteShardCoordinator::effectiveQueryDeadlineLocked() const
-{
-    const double hint =
-        deadlineHintSeconds_.load(std::memory_order_relaxed);
-    if (hint <= 0.0)
-        return config_.queryDeadlineSeconds;
-    // The hint only ever tightens: a generous request budget must
-    // not extend waits past the operator-configured deadline.
-    return std::min(hint, config_.queryDeadlineSeconds);
 }
 
 std::size_t
@@ -611,8 +557,8 @@ RemoteShardCoordinator::queryOnce(std::size_t w,
     if (!status.ok())
         return status;
     Frame reply;
-    status = awaitReply(w, requestId,
-                        effectiveQueryDeadlineLocked(), reply);
+    status = awaitReply(w, requestId, config_.queryDeadlineSeconds,
+                        reply);
     if (!status.ok())
         return status;
     status = decodeShardReply(reply, shard, detail, partial);
@@ -758,7 +704,7 @@ RemoteShardCoordinator::queryAllShards(const Vector &query,
             Frame reply;
             NetStatus status = awaitReply(
                 pending_[s].worker, pending_[s].requestId,
-                effectiveQueryDeadlineLocked(), reply);
+                config_.queryDeadlineSeconds, reply);
             if (status.ok())
                 status = decodeShardReply(reply, shard, detail,
                                           partials_[s]);

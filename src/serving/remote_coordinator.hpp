@@ -37,32 +37,26 @@
  * missed deadline makes a worker suspect, a second consecutive miss
  * (or any unrecoverable transport failure) makes it dead, and
  * heartbeat() re-replicates a dead worker's shards onto survivors.
- * With heartbeatPeriodSeconds set, an internal background thread
- * drives heartbeat() at that period (stopped and joined by the
- * destructor before any shutdown frame is sent); at the default 0
- * no thread is spawned and callers drive heartbeats explicitly —
- * the deterministic mode the health-machine tests rely on. Both
- * modes may coexist: heartbeat() is safe to call concurrently with
- * the background thread, serialized by the coordinator mutex.
+ * The coordinator spawns no thread of its own: callers drive
+ * heartbeat() at whatever period suits them, which keeps the health
+ * machine deterministic under test.
  *
- * Thread safety: one internal mutex serializes all operations;
- * parallelism comes from the worker fan-out (queries are pipelined
- * to all shards before any reply is awaited), not from concurrent
- * coordinator calls.
+ * Thread safety: one internal mutex serializes all operations,
+ * heartbeat() included; parallelism comes from the worker fan-out
+ * (queries are pipelined to all shards before any reply is awaited),
+ * not from concurrent coordinator calls. Every query reply wait is
+ * bounded by the static queryDeadlineSeconds.
  */
 
 #ifndef A3_SERVING_REMOTE_COORDINATOR_HPP
 #define A3_SERVING_REMOTE_COORDINATOR_HPP
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "attention/backend.hpp"
@@ -120,14 +114,6 @@ struct RemoteShardConfig
     /** Deadline for one heartbeat ack. */
     double heartbeatTimeoutSeconds = 0.25;
 
-    /**
-     * Period of the internal background heartbeat thread; 0 (the
-     * default) spawns no thread and leaves heartbeats caller-driven.
-     * The thread starts after construction fully binds the shards
-     * and is stopped and joined first thing in the destructor.
-     */
-    double heartbeatPeriodSeconds = 0.0;
-
     /** Optional wrapper around every worker transport. */
     TransportDecorator decorateTransport;
 };
@@ -184,22 +170,9 @@ class RemoteShardCoordinator final : public AttentionBackend
     std::size_t dims() const override;
 
     /**
-     * Per-request deadline budget from the scheduler: subsequent
-     * query waits use min(hint, queryDeadlineSeconds) instead of the
-     * static config deadline, so a request with little budget left
-     * stops waiting on a sick worker sooner and escalates down the
-     * recovery ladder. Advisory and sticky until the next hint; only
-     * the two per-query reply waits tighten — handshake, bind, and
-     * heartbeat waits keep their configured deadlines (they protect
-     * binding durability, not one request's latency).
-     */
-    void queryDeadlineHint(double remainingSeconds) const override;
-
-    /**
      * Probe every non-dead worker and apply the health transitions,
      * then re-replicate any under-replicated shard onto survivors.
-     * Driven by the background thread when heartbeatPeriodSeconds is
-     * set; always safe to call directly as well.
+     * Caller-driven; safe to call between or alongside queries.
      */
     void heartbeat();
 
@@ -298,15 +271,7 @@ class RemoteShardCoordinator final : public AttentionBackend
     Matrix value_;
     std::size_t dims_ = 0;
 
-    /** Effective deadline for one query reply wait (see
-     *  queryDeadlineHint). */
-    double effectiveQueryDeadlineLocked() const;
-
     mutable std::mutex mu_;
-    /** Latest scheduler hint in seconds; 0 = none (use the static
-     *  config deadline). Relaxed atomic: written from the drain
-     *  thread through the const backend pointer, read under mu_. */
-    mutable std::atomic<double> deadlineHintSeconds_{0.0};
     mutable std::vector<Worker> workers_;
     mutable std::vector<Shard> shards_;
     /** shards_[s].offset for every shard, in the form the merge
@@ -320,14 +285,6 @@ class RemoteShardCoordinator final : public AttentionBackend
     mutable std::vector<Pending> pending_;
     mutable std::vector<PartialResult> partials_;
     mutable PartialReplyPayload partialScratch_;
-
-    /** Background heartbeat machinery (heartbeatPeriodSeconds > 0):
-     *  the thread waits on hbCv_ so the destructor can interrupt a
-     *  sleep immediately instead of waiting a full period out. */
-    std::mutex hbMu_;
-    std::condition_variable hbCv_;
-    bool hbStop_ = false;
-    std::thread heartbeatThread_;
 };
 
 }  // namespace a3

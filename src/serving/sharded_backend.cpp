@@ -147,13 +147,6 @@ ShardedBackend::runInto(const Vector &query, AttentionResult &out,
 }
 
 void
-ShardedBackend::queryDeadlineHint(double remainingSeconds) const
-{
-    for (const auto &shard : shards_)
-        shard->backend().queryDeadlineHint(remainingSeconds);
-}
-
-void
 ShardedBackend::freezeTail()
 {
     std::shared_ptr<ShardHandle> &tail = shards_.back();

@@ -148,9 +148,6 @@ class ShardedBackend final : public AttentionBackend
     void append(const Matrix &keyRows,
                 const Matrix &valueRows) override;
 
-    /** Forward a deadline hint to every shard backend. */
-    void queryDeadlineHint(double remainingSeconds) const override;
-
     /**
      * Sum of the shards' preprocessed bytes — logical footprint,
      * counting a shared shard fully (SessionCache's charged-bytes

@@ -42,7 +42,6 @@ struct SessionRuntime
     SessionHandle handle;
     std::uint64_t contentSeed = 0;
     std::uint32_t rows = 0;
-    SessionStyle style = SessionStyle::Rag;
     bool everBound = false;
     Matrix key;
     Matrix value;
@@ -184,15 +183,12 @@ replayTrace(const Trace &trace, AttentionEngine &engine,
     };
 
     auto submitQuery = [&](std::uint32_t s, Vector query,
-                           double arrival, double deadline,
-                           SessionStyle style) {
+                           double arrival, double deadline) {
         SubmitOptions options;
         options.deadlineSeconds = config.schedulerDeadlineSeconds;
         // result_hash covers the kept rows, so replay asks for the
         // dense diagnostics.
         options.detail = ResultDetail::Full;
-        if (config.classifyByStyle)
-            options.requestClass = sessionStyleName(style);
         const SessionHandle &handle = ensureBound(s);
         AdmissionOutcome outcome =
             scheduler.submit(handle, query, options);
@@ -225,7 +221,6 @@ replayTrace(const Trace &trace, AttentionEngine &engine,
             ++report.binds;
             rt.contentSeed = event.payloadSeed;
             rt.rows = event.rows;
-            rt.style = event.style;
             rt.everBound = true;
             rt.key = traceContentMatrix(rt.contentSeed, rt.rows,
                                         config.dims);
@@ -259,8 +254,7 @@ replayTrace(const Trace &trace, AttentionEngine &engine,
             submitQuery(event.session,
                         traceQueryVector(event.payloadSeed,
                                          config.dims),
-                        event.timeSeconds, event.deadlineSeconds,
-                        event.style);
+                        event.timeSeconds, event.deadlineSeconds);
             break;
         }
     };

@@ -95,10 +95,6 @@ struct ReplayConfig
      *  0 submits without one. */
     double schedulerDeadlineSeconds = 30.0;
 
-    /** Tag submits with the session style ("rag"/"chat") as the
-     *  request class, exercising per-class drain lanes. */
-    bool classifyByStyle = true;
-
     /** Retain every served AttentionResult in completion order
      *  (ReplayReport::results) — for bit-identity tests; off by
      *  default to keep big replays lean. */

@@ -5,8 +5,8 @@
  * DeadlineExpired completions that consume no batch slot), submit-time
  * rejection of deadlines the queue already makes unmeetable, the
  * adaptive queue depth derived from target latency over observed p95
- * service time, per-class drain slots on top of per-session weights,
- * and the persistence of the admission signal across resetCounters().
+ * service time, and the persistence of the admission signal across
+ * resetCounters().
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -79,14 +78,6 @@ withDeadline(double seconds)
     return options;
 }
 
-SubmitOptions
-withClass(std::string klass)
-{
-    SubmitOptions options;
-    options.requestClass = std::move(klass);
-    return options;
-}
-
 TEST(Deadline, ExpiredRequestShedWithTypedOutcome)
 {
     Rng rng(31000);
@@ -120,9 +111,6 @@ TEST(Deadline, ExpiredRequestShedWithTypedOutcome)
     EXPECT_EQ(scheduler.pending(), 0u);
     EXPECT_STREQ(servingErrorName(ServingError::DeadlineExpired),
                  "deadline_expired");
-    EXPECT_STREQ(admissionDecisionName(
-                     AdmissionDecision::ShedDeadlineExpired),
-                 "shed_deadline_expired");
 }
 
 TEST(Deadline, GenerousDeadlineAnswersBitIdentical)
@@ -156,9 +144,9 @@ TEST(Deadline, GenerousDeadlineAnswersBitIdentical)
 TEST(Deadline, ShedConsumesNoBatchSlot)
 {
     // With maxBatch = 2 and an expired request at the head of the
-    // lane, both live requests are still answered in the same drain:
-    // the shed rides along as a typed completion without crowding
-    // them out of the pass.
+    // session's queue, both live requests are still answered in the
+    // same drain: the shed rides along as a typed completion without
+    // crowding them out of the pass.
     Rng rng(31200);
     const std::size_t d = 8;
     AttentionEngine engine(1);
@@ -311,30 +299,6 @@ TEST(Deadline, AdaptiveDepthEngagesAfterServiceSignal)
                  "rejected_adaptive_depth");
 }
 
-TEST(Deadline, AdaptiveDepthHonorsConfiguredFloor)
-{
-    Rng rng(31600);
-    const std::size_t d = 8;
-    AttentionEngine engine(1);
-    SessionCache cache;
-    const std::vector<SessionHandle> h =
-        bindSessions(cache, rng, 1, 32, d);
-    AdmissionPolicy policy;
-    policy.targetLatencySeconds = 1e-9;
-    policy.minAdaptiveQueueDepth = 3;
-    BatchScheduler scheduler(engine, cache, 0, policy);
-
-    ASSERT_TRUE(
-        scheduler.submit(h[0], randomQuery(rng, d)).admitted());
-    scheduler.drain();
-    EXPECT_EQ(scheduler.adaptiveQueueDepth(), 3u);
-    for (int i = 0; i < 3; ++i)
-        ASSERT_TRUE(
-            scheduler.submit(h[0], randomQuery(rng, d)).admitted());
-    EXPECT_EQ(scheduler.submit(h[0], randomQuery(rng, d)).decision,
-              AdmissionDecision::RejectedAdaptiveDepth);
-}
-
 TEST(Deadline, ResetCountersPreservesAdmissionSignal)
 {
     Rng rng(31700);
@@ -368,109 +332,6 @@ TEST(Deadline, ResetCountersPreservesAdmissionSignal)
         scheduler.submit(h[0], randomQuery(rng, d)).admitted());
     EXPECT_EQ(scheduler.submit(h[0], randomQuery(rng, d)).decision,
               AdmissionDecision::RejectedAdaptiveDepth);
-}
-
-TEST(Deadline, ClassWeightSplitsTruncatedDrain)
-{
-    Rng rng(31800);
-    const std::size_t d = 8;
-    AttentionEngine engine(1);
-    SessionCache cache;
-    const std::vector<SessionHandle> h =
-        bindSessions(cache, rng, 1, 16, d);
-    BatchScheduler scheduler(engine, cache, 4);
-    scheduler.setClassWeight("premium", 3);
-    EXPECT_EQ(scheduler.classWeight("premium"), 3u);
-    EXPECT_EQ(scheduler.classWeight("bulk"), 1u);
-
-    std::vector<std::uint64_t> premiumTickets;
-    std::vector<std::uint64_t> defaultTickets;
-    for (int i = 0; i < 6; ++i) {
-        const AdmissionOutcome outcome = scheduler.submit(
-            h[0], randomQuery(rng, d), withClass("premium"));
-        ASSERT_TRUE(outcome.admitted());
-        premiumTickets.push_back(outcome.ticket);
-    }
-    for (int i = 0; i < 6; ++i) {
-        const AdmissionOutcome outcome =
-            scheduler.submit(h[0], randomQuery(rng, d));
-        ASSERT_TRUE(outcome.admitted());
-        defaultTickets.push_back(outcome.ticket);
-    }
-
-    // One truncated drain claims 3 premium slots for every default
-    // slot within the session.
-    const std::vector<ServingResult> first = scheduler.drain();
-    ASSERT_EQ(first.size(), 4u);
-    std::set<std::uint64_t> got;
-    for (const ServingResult &completion : first) {
-        EXPECT_TRUE(completion.ok());
-        got.insert(completion.ticket);
-    }
-    const std::set<std::uint64_t> want = {
-        premiumTickets[0], premiumTickets[1], premiumTickets[2],
-        defaultTickets[0]};
-    EXPECT_EQ(got, want);
-
-    // Later drains keep per-class ticket order until the queue is
-    // empty (the per-lane ordering assert fires otherwise).
-    std::size_t remaining = 0;
-    while (true) {
-        const std::vector<ServingResult> next = scheduler.drain();
-        if (next.empty())
-            break;
-        remaining += next.size();
-    }
-    EXPECT_EQ(remaining, 8u);
-    EXPECT_EQ(scheduler.pending(), 0u);
-
-    // Weight 1 restores the default single-lane arithmetic.
-    scheduler.setClassWeight("premium", 1);
-    EXPECT_EQ(scheduler.classWeight("premium"), 1u);
-}
-
-TEST(Deadline, ClassLanesComposeWithSessionWeights)
-{
-    // Slots are session-weight × class-weight: a weight-2 session's
-    // premium lane claims 4 per pass against a weight-1 session's
-    // default lane claiming 1.
-    Rng rng(31900);
-    const std::size_t d = 8;
-    AttentionEngine engine(1);
-    SessionCache cache;
-    const std::vector<SessionHandle> h =
-        bindSessions(cache, rng, 2, 16, d);
-    BatchScheduler scheduler(engine, cache, 5);
-    scheduler.setSessionWeight("s0", 2);
-    scheduler.setClassWeight("premium", 2);
-
-    std::vector<std::uint64_t> heavy;
-    for (int i = 0; i < 6; ++i) {
-        const AdmissionOutcome outcome = scheduler.submit(
-            h[0], randomQuery(rng, d), withClass("premium"));
-        ASSERT_TRUE(outcome.admitted());
-        heavy.push_back(outcome.ticket);
-    }
-    std::vector<std::uint64_t> light;
-    for (int i = 0; i < 6; ++i) {
-        const AdmissionOutcome outcome =
-            scheduler.submit(h[1], randomQuery(rng, d));
-        ASSERT_TRUE(outcome.admitted());
-        light.push_back(outcome.ticket);
-    }
-
-    const std::vector<ServingResult> first = scheduler.drain();
-    ASSERT_EQ(first.size(), 5u);
-    std::set<std::uint64_t> got;
-    for (const ServingResult &completion : first)
-        got.insert(completion.ticket);
-    const std::set<std::uint64_t> want = {heavy[0], heavy[1],
-                                          heavy[2], heavy[3],
-                                          light[0]};
-    EXPECT_EQ(got, want);
-    while (!scheduler.drain().empty()) {
-    }
-    EXPECT_EQ(scheduler.pending(), 0u);
 }
 
 }  // namespace

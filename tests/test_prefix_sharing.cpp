@@ -9,8 +9,7 @@
  * SessionCache typed surface (BindOutcome / AppendOutcome /
  * SessionHandle staleness), shared-bytes-once budget accounting,
  * eviction safety for shared shards, copy-on-append tail isolation,
- * freeze-path compaction, and deadline-hint propagation from the
- * scheduler into backends.
+ * and freeze-path compaction.
  */
 
 #include <gtest/gtest.h>
@@ -857,120 +856,6 @@ TEST(SessionHandles, SchedulerSubmitsThroughHandles)
         EXPECT_TRUE(r.ok());
         EXPECT_EQ(r.result.output.size(), d);
     }
-}
-
-// -- Deadline-budget propagation ------------------------------------
-
-/** Reference wrapper that records the last deadline hint it saw. */
-class HintRecordingBackend final : public AttentionBackend
-{
-  public:
-    HintRecordingBackend(Matrix key, Matrix value)
-        : inner_(std::move(key), std::move(value))
-    {
-    }
-
-    std::string name() const override { return "hint-recorder"; }
-    SoftmaxTerms runInto(
-        const Vector &query, AttentionResult &out,
-        ResultDetail detail = ResultDetail::Full) const override
-    {
-        return inner_.runInto(query, out, detail);
-    }
-    void append(const Matrix &keyRows,
-                const Matrix &valueRows) override
-    {
-        inner_.append(keyRows, valueRows);
-    }
-    std::size_t memoryBytes() const override
-    {
-        return inner_.memoryBytes();
-    }
-    std::size_t rows() const override { return inner_.rows(); }
-    std::size_t dims() const override { return inner_.dims(); }
-
-    void queryDeadlineHint(double remainingSeconds) const override
-    {
-        lastHint_ = remainingSeconds;
-        ++hintCalls_;
-    }
-
-    double lastHint() const { return lastHint_; }
-    std::size_t hintCalls() const { return hintCalls_; }
-
-  private:
-    ReferenceAttention inner_;
-    mutable double lastHint_ = -1.0;
-    mutable std::size_t hintCalls_ = 0;
-};
-
-TEST(DeadlineBudget, DrainPublishesRemainingBudgetToBackends)
-{
-    Rng rng(83);
-    const std::size_t d = 8;
-    SessionCache cache;
-    auto recorder = std::make_shared<HintRecordingBackend>(
-        randomMatrix(rng, 32, d), randomMatrix(rng, 32, d));
-    cache.insert("doc", recorder);
-
-    AttentionEngine engine(1);
-    BatchScheduler scheduler(engine, cache);
-
-    SubmitOptions options;
-    options.deadlineSeconds = 5.0;
-    auto admitted = scheduler.submit(cache.lookupSession("doc"),
-                                     randomQuery(rng, d), options);
-    ASSERT_TRUE(admitted.admitted());
-    auto results = scheduler.drain();
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_TRUE(results[0].ok());
-
-    // The drain published the request's remaining budget — positive,
-    // and no more than the full deadline — before the engine pass.
-    EXPECT_EQ(recorder->hintCalls(), 1u);
-    EXPECT_GT(recorder->lastHint(), 0.0);
-    EXPECT_LE(recorder->lastHint(), 5.0);
-    EXPECT_EQ(scheduler.stats().deadlineHintedGroups, 1u);
-}
-
-TEST(DeadlineBudget, GroupsWithoutDeadlinesPublishNoHint)
-{
-    Rng rng(89);
-    const std::size_t d = 8;
-    SessionCache cache;
-    auto recorder = std::make_shared<HintRecordingBackend>(
-        randomMatrix(rng, 32, d), randomMatrix(rng, 32, d));
-    cache.insert("doc", recorder);
-
-    AttentionEngine engine(1);
-    BatchScheduler scheduler(engine, cache);
-    auto admitted = scheduler.submit(cache.lookupSession("doc"),
-                                     randomQuery(rng, d));
-    ASSERT_TRUE(admitted.admitted());
-    auto results = scheduler.drain();
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(recorder->hintCalls(), 0u);
-    EXPECT_EQ(scheduler.stats().deadlineHintedGroups, 0u);
-}
-
-TEST(DeadlineBudget, ShardedBackendForwardsHintToEveryShard)
-{
-    Rng rng(97);
-    const std::size_t d = 8;
-    const Matrix key = randomMatrix(rng, 64, d);
-    const Matrix value = randomMatrix(rng, 64, d);
-
-    // The composite forwards queryDeadlineHint to each shard backend;
-    // the plain kinds default to a no-op, so this just must not
-    // crash and must stay const-callable.
-    ShardedConfig config;
-    config.shardRows = 16;
-    ShardedBackend sharded(configOf(EngineKind::ExactFloat), key,
-                           value, config);
-    ASSERT_EQ(sharded.shardCount(), 4u);
-    const AttentionBackend &asBackend = sharded;
-    asBackend.queryDeadlineHint(0.25);
-    asBackend.queryDeadlineHint(0.0);  // clearing is also fine
 }
 
 // -- Freeze-path compaction -----------------------------------------

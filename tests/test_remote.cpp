@@ -12,13 +12,11 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -1298,100 +1296,6 @@ TEST(RemoteProcessTest, SurvivesSigkilledWorker)
     EXPECT_EQ(remote.workerHealth(1), WorkerHealth::Dead);
     EXPECT_GT(remote.stats().failovers + remote.stats().rebinds,
               0u);
-    EXPECT_EQ(remote.stats().localFallbacks, 0u);
-}
-
-// ---------------------------------------------- background heartbeat
-
-TEST(RemoteFaultToleranceTest, BackgroundHeartbeatDetectsDeadWorker)
-{
-    Rng rng(307);
-    const Matrix key = randomMatrix(rng, 48, 8);
-    const Matrix value = randomMatrix(rng, 48, 8);
-    const EngineConfig inner = configFor(EngineKind::ExactFloat);
-
-    Fleet fleet = makeFleet(2);
-    RemoteShardConfig config = fastConfig();
-    config.heartbeatPeriodSeconds = 0.005;
-    RemoteShardCoordinator remote(inner, key, value, fleet.specs(),
-                                  config);
-    ASSERT_EQ(remote.workerHealth(1), WorkerHealth::Healthy);
-
-    // Kill a worker and wait for the coordinator's OWN thread to
-    // notice — the caller never invokes heartbeat().
-    fleet.workers[1]->stop();
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(10);
-    while (remote.workerHealth(1) != WorkerHealth::Dead &&
-           std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    ASSERT_EQ(remote.workerHealth(1), WorkerHealth::Dead);
-
-    // The same thread re-replicated the dead worker's shards, so
-    // queries proceed bit-identically with no local fallback.
-    ShardedBackend sharded(inner, key, value, ShardedConfig{16});
-    for (int i = 0; i < 4; ++i) {
-        const Vector query = randomQuery(rng, 8);
-        expectBitIdentical(remote.run(query), sharded.run(query));
-    }
-    EXPECT_GT(remote.stats().rebinds, 0u);
-    EXPECT_EQ(remote.stats().localFallbacks, 0u);
-}
-
-TEST(RemoteFaultToleranceTest, BackgroundHeartbeatStopsPromptly)
-{
-    Rng rng(311);
-    const Matrix key = randomMatrix(rng, 32, 8);
-    const Matrix value = randomMatrix(rng, 32, 8);
-    const EngineConfig inner = configFor(EngineKind::ExactFloat);
-
-    // A period much longer than the test: the destructor must
-    // interrupt the sleep instead of waiting a full period out, and
-    // must still shut the workers down cleanly afterwards.
-    Fleet fleet = makeFleet(2);
-    RemoteShardConfig config = fastConfig();
-    config.heartbeatPeriodSeconds = 30.0;
-    const auto start = std::chrono::steady_clock::now();
-    {
-        RemoteShardCoordinator remote(inner, key, value,
-                                      fleet.specs(), config);
-        const Vector query = randomQuery(rng, 8);
-        ShardedBackend sharded(inner, key, value, ShardedConfig{16});
-        expectBitIdentical(remote.run(query), sharded.run(query));
-    }
-    const double elapsed =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    EXPECT_LT(elapsed, 10.0);
-}
-
-TEST(RemoteFaultToleranceTest,
-     BackgroundHeartbeatCoexistsWithExplicitCalls)
-{
-    Rng rng(313);
-    const Matrix key = randomMatrix(rng, 48, 8);
-    const Matrix value = randomMatrix(rng, 48, 8);
-    const EngineConfig inner = configFor(EngineKind::ExactFloat);
-
-    Fleet fleet = makeFleet(2);
-    RemoteShardConfig config = fastConfig();
-    config.heartbeatPeriodSeconds = 0.002;
-    RemoteShardCoordinator remote(inner, key, value, fleet.specs(),
-                                  config);
-    ShardedBackend sharded(inner, key, value, ShardedConfig{16});
-
-    // Caller-driven heartbeats and queries interleave with the
-    // background prober; health stays consistent and every answer
-    // stays bit-identical.
-    for (int i = 0; i < 10; ++i) {
-        remote.heartbeat();
-        const Vector query = randomQuery(rng, 8);
-        expectBitIdentical(remote.run(query), sharded.run(query));
-    }
-    EXPECT_EQ(remote.workerHealth(0), WorkerHealth::Healthy);
-    EXPECT_EQ(remote.workerHealth(1), WorkerHealth::Healthy);
     EXPECT_EQ(remote.stats().localFallbacks, 0u);
 }
 
