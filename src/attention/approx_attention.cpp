@@ -50,16 +50,6 @@ ApproxAttention::memoryBytes() const
            sorted_.storageBytes();
 }
 
-std::unique_ptr<AttentionBackend>
-ApproxAttention::clone() const
-{
-    // Member-wise copy: matrices and the sorted columns are plain
-    // vectors, so the clone answers queries bit-identically without
-    // re-running the build() sort.
-    return std::unique_ptr<AttentionBackend>(
-        new ApproxAttention(*this));
-}
-
 std::size_t
 ApproxAttention::compact()
 {

@@ -88,8 +88,6 @@ class ApproxAttention final : public AttentionBackend
     std::size_t rows() const override { return key_.rows(); }
     std::size_t dims() const override { return key_.cols(); }
 
-    std::unique_ptr<AttentionBackend> clone() const override;
-    bool serializable() const override { return true; }
 
     /**
      * Matrices plus the sorted-key columns verbatim — restore()

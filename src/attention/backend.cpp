@@ -51,12 +51,6 @@ AttentionBackend::mergeUnitsInto(
     out = partials.front();
 }
 
-std::unique_ptr<AttentionBackend>
-AttentionBackend::clone() const
-{
-    fatal("backend \"", name(), "\" does not support clone()");
-}
-
 void
 AttentionBackend::serializeState(WireWriter &out) const
 {
@@ -103,13 +97,6 @@ std::size_t
 ReferenceAttention::memoryBytes() const
 {
     return (key_.data().size() + value_.data().size()) * sizeof(float);
-}
-
-std::unique_ptr<AttentionBackend>
-ReferenceAttention::clone() const
-{
-    return std::unique_ptr<AttentionBackend>(
-        new ReferenceAttention(*this));
 }
 
 std::size_t
@@ -161,20 +148,6 @@ ApproxQuantizedAttention::ApproxQuantizedAttention(
 }
 
 ApproxQuantizedAttention::~ApproxQuantizedAttention() = default;
-
-std::unique_ptr<AttentionBackend>
-ApproxQuantizedAttention::clone() const
-{
-    auto approx = std::unique_ptr<ApproxAttention>(
-        static_cast<ApproxAttention *>(
-            approx_->clone().release()));
-    auto datapath = std::unique_ptr<QuantizedAttention>(
-        static_cast<QuantizedAttention *>(
-            datapath_->clone().release()));
-    return std::unique_ptr<AttentionBackend>(
-        new ApproxQuantizedAttention(std::move(approx),
-                                     std::move(datapath)));
-}
 
 std::size_t
 ApproxQuantizedAttention::compact()

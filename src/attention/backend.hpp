@@ -170,31 +170,14 @@ class AttentionBackend
     virtual std::size_t dims() const = 0;
 
     /**
-     * Deep copy of the bound task — the copy-on-append path of shared
-     * shard handles (see serving/shard_store.hpp): before a shared
-     * mutable tail is extended, the writer clones it so other sessions
-     * keep querying the original. Queries against the clone are
-     * bit-identical to the original (the preprocessed state is copied,
-     * not rebuilt). The base implementation fatal()s; every plain
-     * backend kind overrides it.
-     */
-    virtual std::unique_ptr<AttentionBackend> clone() const;
-
-    /**
-     * Whether serializeState() round-trips this backend through
-     * deserializeBackend(). The plain kinds are serializable; the
-     * composite serving-layer backends (sharded, remote) are not —
-     * they spill per shard instead.
-     */
-    virtual bool serializable() const { return false; }
-
-    /**
      * Append the preprocessed task state to `out` in the canonical
      * little-endian layout deserializeBackend() reads. The packed
      * quantized lanes and sorted-key orders are written verbatim, so
      * a restored backend answers queries bit-identically to this one
-     * — the spill tier's determinism contract. Only valid when
-     * serializable().
+     * — the spill tier's determinism contract. The plain kinds
+     * implement it; the base fatal()s, so the composite serving-layer
+     * backends (sharded, remote), which spill per shard, never reach
+     * it.
      */
     virtual void serializeState(WireWriter &out) const;
 
@@ -283,8 +266,6 @@ class ReferenceAttention final : public AttentionBackend
     std::size_t rows() const override { return key_.rows(); }
     std::size_t dims() const override { return key_.cols(); }
 
-    std::unique_ptr<AttentionBackend> clone() const override;
-    bool serializable() const override { return true; }
     void serializeState(WireWriter &out) const override;
     std::size_t compact() override;
 
@@ -330,8 +311,6 @@ class ApproxQuantizedAttention final : public AttentionBackend
     std::size_t rows() const override;
     std::size_t dims() const override;
 
-    std::unique_ptr<AttentionBackend> clone() const override;
-    bool serializable() const override { return true; }
     void serializeState(WireWriter &out) const override;
     std::size_t compact() override;
 
@@ -344,7 +323,7 @@ class ApproxQuantizedAttention final : public AttentionBackend
     const QuantizedAttention &datapath() const { return *datapath_; }
 
   private:
-    /** Adopt already-built halves (clone()/restore()). */
+    /** Adopt already-built halves (restore()). */
     ApproxQuantizedAttention(
         std::unique_ptr<ApproxAttention> approx,
         std::unique_ptr<QuantizedAttention> datapath);

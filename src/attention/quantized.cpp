@@ -128,15 +128,6 @@ QuantizedAttention::append(const Matrix &keyRows, const Matrix &valueRows)
     Scratch::forThread().reserveTask(boundRows_, dims_);
 }
 
-std::unique_ptr<AttentionBackend>
-QuantizedAttention::clone() const
-{
-    // Member-wise copy: lanes, formats, and the LUT are all
-    // plain values, so the clone is bit-identical in queries.
-    return std::unique_ptr<AttentionBackend>(
-        new QuantizedAttention(*this));
-}
-
 std::size_t
 QuantizedAttention::compact()
 {

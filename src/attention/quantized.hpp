@@ -110,8 +110,6 @@ class QuantizedAttention final : public AttentionBackend
     /** The exponent lookup table pair. */
     const ExpLut &expLut() const { return lut_; }
 
-    std::unique_ptr<AttentionBackend> clone() const override;
-    bool serializable() const override { return true; }
 
     /**
      * The packed lanes verbatim — the on-disk

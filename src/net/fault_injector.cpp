@@ -1,29 +1,12 @@
 #include "net/fault_injector.hpp"
 
-#include <chrono>
-#include <thread>
 #include <utility>
+
+#include "util/stats.hpp"
 
 namespace a3 {
 
 namespace {
-
-double
-nowSeconds()
-{
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(
-               clock::now().time_since_epoch())
-        .count();
-}
-
-void
-sleepSeconds(double seconds)
-{
-    if (seconds > 0)
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(seconds));
-}
 
 bool
 directionMatches(FaultDirection rule, FaultDirection actual)

@@ -1,7 +1,6 @@
 #include "net/transport.hpp"
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <string>
 
@@ -10,18 +9,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "util/stats.hpp"
+
 namespace a3 {
 
 namespace {
-
-double
-nowSeconds()
-{
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(
-               clock::now().time_since_epoch())
-        .count();
-}
 
 NetStatus
 systemFailure(const char *what)

@@ -1,7 +1,6 @@
 #include "serving/batch_scheduler.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -9,19 +8,6 @@
 #include "util/logging.hpp"
 
 namespace a3 {
-
-namespace {
-
-double
-nowSeconds()
-{
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(
-               clock::now().time_since_epoch())
-        .count();
-}
-
-}  // namespace
 
 const char *
 servingErrorName(ServingError error)

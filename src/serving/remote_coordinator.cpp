@@ -1,33 +1,15 @@
 #include "serving/remote_coordinator.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "serving/partial_merge.hpp"
 #include "util/logging.hpp"
+#include "util/stats.hpp"
 
 namespace a3 {
 
 namespace {
-
-double
-nowSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now()
-                   .time_since_epoch())
-        .count();
-}
-
-void
-sleepSeconds(double seconds)
-{
-    if (seconds > 0.0)
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(seconds));
-}
 
 /**
  * Request id a client-bound reply frame answers: the leading u64
@@ -74,17 +56,6 @@ unixWorkerSpec(std::string name, std::string socketPath,
         return connectUnix(path, connectTimeoutSeconds, status);
     };
     return spec;
-}
-
-const char *
-workerHealthName(WorkerHealth health)
-{
-    switch (health) {
-    case WorkerHealth::Healthy: return "healthy";
-    case WorkerHealth::Suspect: return "suspect";
-    case WorkerHealth::Dead: return "dead";
-    }
-    return "unknown";
 }
 
 RemoteShardCoordinator::RemoteShardCoordinator(
@@ -241,30 +212,14 @@ RemoteShardCoordinator::markAnswered(std::size_t w)
     worker.health = WorkerHealth::Healthy;
 }
 
-void
-RemoteShardCoordinator::sweepClosedWorkers()
-{
-    // A transport can die outside any coordinator call (the worker
-    // process was SIGKILLed, the socket closed under us); fold
-    // that into the health state before acting on it.
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-        Worker &worker = workers_[w];
-        if (worker.health != WorkerHealth::Dead &&
-            (worker.transport == nullptr ||
-             !worker.transport->isOpen()))
-            markDead(w);
-    }
-}
-
 NetStatus
 RemoteShardCoordinator::connectWorker(std::size_t w)
 {
     Worker &worker = workers_[w];
     NetStatus status = NetStatus::success();
-    std::shared_ptr<Transport> transport =
-        worker.spec.connect ? worker.spec.connect(status)
-                            : nullptr;
-    if (transport == nullptr) {
+    worker.transport =
+        worker.spec.connect ? worker.spec.connect(status) : nullptr;
+    if (worker.transport == nullptr) {
         if (status.ok())
             status = NetStatus::failure(NetError::SystemError,
                                         "connect returned no "
@@ -272,42 +227,33 @@ RemoteShardCoordinator::connectWorker(std::size_t w)
         return status;
     }
     if (config_.decorateTransport)
-        transport = config_.decorateTransport(std::move(transport));
+        worker.transport =
+            config_.decorateTransport(std::move(worker.transport));
 
     HelloPayload hello;
     hello.peer = "coordinator";
-    status = transport->send(encodeHello(hello, /*ack=*/false));
-    if (!status.ok())
-        return status;
+    status = worker.transport->send(encodeHello(hello, /*ack=*/false));
+    const auto helloAck = [](const Frame &f) {
+        return f.type == FrameType::HelloAck;
+    };
     Frame frame;
-    const double deadline =
-        nowSeconds() + config_.queryDeadlineSeconds;
-    while (true) {
-        const double remaining = deadline - nowSeconds();
-        if (remaining <= 0.0)
-            return NetStatus::failure(NetError::Timeout,
-                                      "handshake timed out");
-        status = transport->recv(frame, remaining);
-        if (!status.ok())
-            return status;
-        if (frame.type != FrameType::HelloAck)
-            continue;
-        HelloPayload ack;
+    if (status.ok())
+        status = awaitFrame(w, config_.queryDeadlineSeconds, 0,
+                            helloAck, frame);
+    HelloPayload ack;
+    if (status.ok())
         status = decodeHello(frame, ack);
-        if (!status.ok())
-            return status;
-        break;
-    }
-    worker.transport = std::move(transport);
-    worker.health = WorkerHealth::Healthy;
-    worker.consecutiveMisses = 0;
-    return NetStatus::success();
+    // A worker whose handshake fails starts out dead.
+    if (status.ok())
+        markAnswered(w);
+    else
+        markDead(w);
+    return status;
 }
 
 NetStatus
 RemoteShardCoordinator::bindShardTo(std::size_t w, Shard &shard)
 {
-    Worker &worker = workers_[w];
     BindShardPayload bind;
     bind.shardId = shard.id;
     bind.generation = shard.generation;
@@ -315,62 +261,25 @@ RemoteShardCoordinator::bindShardTo(std::size_t w, Shard &shard)
     bind.key = key_.rowSlice(shard.offset, shard.rowCount);
     bind.value = value_.rowSlice(shard.offset, shard.rowCount);
     NetStatus status =
-        worker.transport->send(encodeBindShard(bind));
+        workers_[w].transport->send(encodeBindShard(bind));
     if (!status.ok()) {
         markDead(w);
         return status;
     }
+    // Only the ack of this very bind counts, not one of an earlier
+    // generation.
+    const auto thisBind = [&shard](const Frame &f) {
+        BindAckPayload ack;
+        return f.type == FrameType::BindAck &&
+               decodeBindAck(f, ack).ok() && ack.shardId == shard.id &&
+               ack.generation == shard.generation;
+    };
     Frame frame;
-    const double deadline =
-        nowSeconds() + config_.queryDeadlineSeconds;
-    while (true) {
-        const double remaining = deadline - nowSeconds();
-        if (remaining <= 0.0) {
-            markMiss(w);
-            ++stats_.timeouts;
-            return NetStatus::failure(NetError::Timeout,
-                                      "bind ack timed out");
-        }
-        status = worker.transport->recv(frame, remaining);
-        if (!status.ok()) {
-            if (status.error == NetError::Timeout) {
-                markMiss(w);
-                ++stats_.timeouts;
-            } else {
-                markDead(w);
-            }
-            return status;
-        }
-        if (frame.type == FrameType::BindAck) {
-            BindAckPayload ack;
-            status = decodeBindAck(frame, ack);
-            if (!status.ok()) {
-                markDead(w);
-                return status;
-            }
-            if (ack.shardId != shard.id ||
-                ack.generation != shard.generation)
-                continue;  // ack of an earlier bind
-            markAnswered(w);
-            return NetStatus::success();
-        }
-        if (frame.type == FrameType::ErrorReply &&
-            replyRequestId(frame) == 0) {
-            ErrorReplyPayload error;
-            if (decodeErrorReply(frame, error).ok())
-                return NetStatus::failure(error.code,
-                                          error.message);
-            markDead(w);
-            return NetStatus::failure(NetError::Malformed,
-                                      "undecodable error reply");
-        }
-        if (isReplyFrame(frame)) {
-            // A pipelined query reply overtaking the bind ack.
-            worker.stash[replyRequestId(frame)] = std::move(frame);
-            continue;
-        }
-        // HeartbeatAck and the like: skip.
-    }
+    status = awaitFrame(w, config_.queryDeadlineSeconds, 0, thisBind,
+                        frame);
+    if (status.ok())
+        markAnswered(w);
+    return status;
 }
 
 void
@@ -440,9 +349,10 @@ RemoteShardCoordinator::sendQuery(std::size_t w,
 }
 
 NetStatus
-RemoteShardCoordinator::awaitReply(std::size_t w,
+RemoteShardCoordinator::awaitFrame(std::size_t w,
+                                   double timeoutSeconds,
                                    std::uint64_t requestId,
-                                   double deadlineSeconds,
+                                   const FrameFilter &accept,
                                    Frame &out)
 {
     Worker &worker = workers_[w];
@@ -452,52 +362,55 @@ RemoteShardCoordinator::awaitReply(std::size_t w,
         worker.stash.erase(stashed);
         return NetStatus::success();
     }
-    const double deadline = nowSeconds() + deadlineSeconds;
-    while (true) {
+    const double deadline = nowSeconds() + timeoutSeconds;
+    NetStatus status = NetStatus::success();
+    for (;;) {
         const double remaining = deadline - nowSeconds();
         if (remaining <= 0.0) {
-            ++stats_.timeouts;
-            markMiss(w);
-            return NetStatus::failure(NetError::Timeout,
-                                      "reply deadline expired");
+            status = NetStatus::failure(NetError::Timeout,
+                                        "remote wait expired");
+            break;
         }
-        NetStatus status = worker.transport->recv(out, remaining);
-        if (!status.ok()) {
-            if (status.error == NetError::Timeout) {
-                ++stats_.timeouts;
-                markMiss(w);
-            } else if (status.error == NetError::BadChecksum) {
-                ++stats_.checksumRejects;
-            } else {
-                markDead(w);
-            }
-            return status;
+        status = worker.transport->recv(out, remaining);
+        if (!status.ok())
+            break;
+        if (!isReplyFrame(out)) {
+            if (accept && accept(out))
+                return status;
+            continue;  // late bind acks, earlier probes' acks
         }
-        if (!isReplyFrame(out))
-            continue;  // heartbeat acks, late bind acks
         const std::uint64_t id = replyRequestId(out);
-        if (id == requestId)
-            return NetStatus::success();
         if (out.type == FrameType::ErrorReply && id == 0) {
             // Connection-level report (the worker rejected a
             // corrupted or malformed frame — possibly ours).
             ErrorReplyPayload error;
             if (decodeErrorReply(out, error).ok())
-                return NetStatus::failure(error.code,
-                                          error.message);
-            markDead(w);
-            return NetStatus::failure(NetError::Malformed,
-                                      "undecodable error reply");
+                return NetStatus::failure(error.code, error.message);
+            status = NetStatus::failure(NetError::Malformed,
+                                        "undecodable error reply");
+            break;
         }
-        if (id < operationFirstId_) {
+        // Ack waits pass requestId 0, below every id an operation
+        // sends, so they stash or drop every reply.
+        if (id < operationFirstId_)
             ++stats_.staleReplies;  // an earlier operation's reply
-            continue;
-        }
-        // Another in-flight request's reply overtook ours
-        // (pipelining or recovery interleave): stash it. The next
-        // recv() overwrites `out` whole, so the frame can move.
-        worker.stash[id] = std::move(out);
+        else if (id == requestId)
+            return status;
+        else
+            // Another in-flight request's reply overtook this wait
+            // (pipelining or recovery interleave): stash it. The
+            // next recv() overwrites `out` whole, so it can move.
+            worker.stash[id] = std::move(out);
     }
+    if (status.error == NetError::Timeout) {
+        ++stats_.timeouts;
+        markMiss(w);
+    } else if (status.error == NetError::BadChecksum) {
+        ++stats_.checksumRejects;
+    } else {
+        markDead(w);
+    }
+    return status;
 }
 
 NetStatus
@@ -546,6 +459,23 @@ RemoteShardCoordinator::decodeShardReply(const Frame &frame,
 }
 
 NetStatus
+RemoteShardCoordinator::collectReply(std::size_t w,
+                                     std::uint64_t requestId,
+                                     const Shard &shard,
+                                     ResultDetail detail,
+                                     PartialResult &partial)
+{
+    Frame reply;
+    NetStatus status = awaitFrame(w, config_.queryDeadlineSeconds,
+                                  requestId, {}, reply);
+    if (status.ok())
+        status = decodeShardReply(reply, shard, detail, partial);
+    if (status.ok())
+        markAnswered(w);
+    return status;
+}
+
+NetStatus
 RemoteShardCoordinator::queryOnce(std::size_t w,
                                   const Shard &shard,
                                   const Vector &query,
@@ -553,18 +483,11 @@ RemoteShardCoordinator::queryOnce(std::size_t w,
                                   PartialResult &partial)
 {
     std::uint64_t requestId = 0;
-    NetStatus status = sendQuery(w, shard, query, detail, requestId);
+    const NetStatus status =
+        sendQuery(w, shard, query, detail, requestId);
     if (!status.ok())
         return status;
-    Frame reply;
-    status = awaitReply(w, requestId, config_.queryDeadlineSeconds,
-                        reply);
-    if (!status.ok())
-        return status;
-    status = decodeShardReply(reply, shard, detail, partial);
-    if (status.ok())
-        markAnswered(w);
-    return status;
+    return collectReply(w, requestId, shard, detail, partial);
 }
 
 void
@@ -653,10 +576,15 @@ RemoteShardCoordinator::recoverShard(Shard &shard,
 void
 RemoteShardCoordinator::beginOperation()
 {
-    sweepClosedWorkers();
+    // A transport can die outside any coordinator call (the worker
+    // process was SIGKILLed, the socket closed under us); fold
+    // that into the health state before acting on it.
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+        if (workers_[w].health != WorkerHealth::Dead && !workerAlive(w))
+            markDead(w);
+        workers_[w].stash.clear();
+    }
     operationFirstId_ = nextRequestId_;
-    for (Worker &worker : workers_)
-        worker.stash.clear();
 }
 
 SoftmaxTerms
@@ -687,7 +615,7 @@ RemoteShardCoordinator::queryAllShards(const Vector &query,
                     std::swap(shard.replicas[0],
                               shard.replicas[r]);
                 }
-                pending_[s] = {true, w, requestId};
+                pending_[s] = {w, requestId};
                 break;
             }
         }
@@ -698,23 +626,12 @@ RemoteShardCoordinator::queryAllShards(const Vector &query,
     // failure.
     partials_.resize(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-        Shard &shard = shards_[s];
-        bool done = false;
-        if (pending_[s].sent) {
-            Frame reply;
-            NetStatus status = awaitReply(
-                pending_[s].worker, pending_[s].requestId,
-                config_.queryDeadlineSeconds, reply);
-            if (status.ok())
-                status = decodeShardReply(reply, shard, detail,
-                                          partials_[s]);
-            if (status.ok()) {
-                markAnswered(pending_[s].worker);
-                done = true;
-            }
-        }
-        if (!done)
-            recoverShard(shard, query, detail, partials_[s]);
+        const Pending &sent = pending_[s];
+        if (sent.requestId == 0 ||
+            !collectReply(sent.worker, sent.requestId, shards_[s],
+                          detail, partials_[s])
+                 .ok())
+            recoverShard(shards_[s], query, detail, partials_[s]);
     }
     return mergeShardPartials(partials_, shardOffsets_, key_.rows(),
                               dims_, out);
@@ -782,53 +699,30 @@ void
 RemoteShardCoordinator::heartbeat()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    sweepClosedWorkers();
+    beginOperation();
     for (std::size_t w = 0; w < workers_.size(); ++w) {
-        Worker &worker = workers_[w];
         if (!workerAlive(w))
             continue;
         HeartbeatPayload beat;
-        beat.sequence = ++worker.heartbeatSeq;
+        beat.sequence = ++workers_[w].heartbeatSeq;
         NetStatus status =
-            worker.transport->send(encodeHeartbeat(beat, false));
+            workers_[w].transport->send(encodeHeartbeat(beat, false));
         if (!status.ok()) {
             markDead(w);
             continue;
         }
-        const double deadline =
-            nowSeconds() + config_.heartbeatTimeoutSeconds;
-        bool acked = false;
+        // Acks of earlier probes do not count.
+        const auto thisProbe = [&beat](const Frame &f) {
+            HeartbeatPayload ack;
+            return f.type == FrameType::HeartbeatAck &&
+                   decodeHeartbeat(f, ack).ok() &&
+                   ack.sequence == beat.sequence;
+        };
         Frame frame;
-        while (true) {
-            const double remaining = deadline - nowSeconds();
-            if (remaining <= 0.0)
-                break;
-            status = worker.transport->recv(frame, remaining);
-            if (!status.ok()) {
-                if (status.error != NetError::Timeout)
-                    markDead(w);
-                break;
-            }
-            if (frame.type == FrameType::HeartbeatAck) {
-                HeartbeatPayload ack;
-                if (decodeHeartbeat(frame, ack).ok() &&
-                    ack.sequence == beat.sequence) {
-                    acked = true;
-                    break;
-                }
-                continue;  // an earlier probe's ack
-            }
-            if (isReplyFrame(frame)) {
-                ++stats_.staleReplies;
-                continue;
-            }
-        }
-        if (acked)
+        if (awaitFrame(w, config_.heartbeatTimeoutSeconds, 0,
+                       thisProbe, frame)
+                .ok())
             markAnswered(w);
-        else if (worker.health != WorkerHealth::Dead) {
-            ++stats_.timeouts;
-            markMiss(w);
-        }
     }
     // Re-replicate the shards the dead workers were holding.
     ensureReplicationAll(/*countRebinds=*/true);

@@ -33,19 +33,25 @@
  * identical rows and the merge is fixed-order, recovery changes
  * *where* a partial came from, never *what* it is.
  *
- * Worker health is tracked as Healthy -> Suspect -> Dead: a first
- * missed deadline makes a worker suspect, a second consecutive miss
- * (or any unrecoverable transport failure) makes it dead, and
- * heartbeat() re-replicates a dead worker's shards onto survivors.
- * The coordinator spawns no thread of its own: callers drive
- * heartbeat() at whatever period suits them, which keeps the health
- * machine deterministic under test.
+ * Every wait on a worker — the Hello handshake, a bind ack, a query
+ * reply, a heartbeat ack — goes through one receive loop that
+ * demuxes replies by request id and applies one failure rule: a
+ * timeout is a miss, a checksum reject is transient and leaves the
+ * worker alive, and any other transport failure kills it. Worker
+ * health is tracked as Healthy -> Suspect -> Dead: a first miss
+ * makes a worker suspect, a second consecutive miss (or a fatal
+ * transport failure) makes it dead, and heartbeat() re-replicates a
+ * dead worker's shards onto survivors. The coordinator spawns no
+ * thread of its own: callers drive heartbeat() at whatever period
+ * suits them, which keeps the health machine deterministic under
+ * test.
  *
  * Thread safety: one internal mutex serializes all operations,
  * heartbeat() included; parallelism comes from the worker fan-out
  * (queries are pipelined to all shards before any reply is awaited),
- * not from concurrent coordinator calls. Every query reply wait is
- * bounded by the static queryDeadlineSeconds.
+ * not from concurrent coordinator calls. Every wait is bounded: by
+ * the static queryDeadlineSeconds, or heartbeatTimeoutSeconds for a
+ * heartbeat ack.
  */
 
 #ifndef A3_SERVING_REMOTE_COORDINATOR_HPP
@@ -101,7 +107,8 @@ struct RemoteShardConfig
      *  live worker count; failover consults them in order). */
     std::size_t replication = 1;
 
-    /** Deadline for one remote wait (query reply, bind ack). */
+    /** Deadline for one remote wait (handshake, bind ack, query
+     *  reply). */
     double queryDeadlineSeconds = 1.0;
 
     /** Same-worker resends after a transient failure. */
@@ -120,9 +127,6 @@ struct RemoteShardConfig
 
 /** Liveness state the coordinator tracks per worker. */
 enum class WorkerHealth { Healthy, Suspect, Dead };
-
-/** Stable lowercase name ("healthy", "suspect", "dead"). */
-const char *workerHealthName(WorkerHealth health);
 
 /** Counters of the robustness machinery (all monotonic). */
 struct RemoteCoordinatorStats
@@ -211,21 +215,21 @@ class RemoteShardCoordinator final : public AttentionBackend
         std::unique_ptr<AttentionBackend> local;
     };
 
-    /** One in-flight shard query of the pipelined fan-out. */
+    /** One in-flight shard query of the pipelined fan-out;
+     *  requestId 0 (ids start at 1) means nothing was sent. */
     struct Pending
     {
-        bool sent = false;
         std::size_t worker = 0;
         std::uint64_t requestId = 0;
     };
+
+    /** Takes the non-reply frame (an ack) a wait is for. */
+    using FrameFilter = std::function<bool(const Frame &)>;
 
     bool workerAlive(std::size_t w) const;
     void markMiss(std::size_t w);
     void markDead(std::size_t w);
     void markAnswered(std::size_t w);
-
-    /** Demote workers whose transport closed under us to Dead. */
-    void sweepClosedWorkers();
 
     NetStatus connectWorker(std::size_t w);
     NetStatus bindShardTo(std::size_t w, Shard &shard);
@@ -235,8 +239,23 @@ class RemoteShardCoordinator final : public AttentionBackend
     NetStatus sendQuery(std::size_t w, const Shard &shard,
                         const Vector &query, ResultDetail detail,
                         std::uint64_t &requestId);
-    NetStatus awaitReply(std::size_t w, std::uint64_t requestId,
-                         double deadlineSeconds, Frame &out);
+
+    /**
+     * The coordinator's one receive loop. Waits up to
+     * `timeoutSeconds` on worker `w` for the reply to `requestId`
+     * (from the stash or the wire) or for a non-reply frame
+     * `accept` takes; ack waits pass requestId 0. Other replies are
+     * stashed for their own wait, or counted stale when an earlier
+     * operation sent them. A connection-level ErrorReply fails the
+     * wait with the worker's code and leaves its health alone. The
+     * one failure rule: a timeout counts in `timeouts` and is a
+     * miss, a checksum reject counts in `checksumRejects` and leaves
+     * the worker alive, and any other transport failure (or an
+     * undecodable ErrorReply) kills it.
+     */
+    NetStatus awaitFrame(std::size_t w, double timeoutSeconds,
+                         std::uint64_t requestId,
+                         const FrameFilter &accept, Frame &out);
 
     /**
      * Decode a worker's reply for `shard` into `partial`. A reply
@@ -248,6 +267,11 @@ class RemoteShardCoordinator final : public AttentionBackend
     NetStatus decodeShardReply(const Frame &frame, const Shard &shard,
                                ResultDetail detail,
                                PartialResult &partial);
+
+    /** Await, decode and account the reply to one shard query. */
+    NetStatus collectReply(std::size_t w, std::uint64_t requestId,
+                           const Shard &shard, ResultDetail detail,
+                           PartialResult &partial);
     NetStatus queryOnce(std::size_t w, const Shard &shard,
                         const Vector &query, ResultDetail detail,
                         PartialResult &partial);
@@ -263,6 +287,9 @@ class RemoteShardCoordinator final : public AttentionBackend
                                 ResultDetail detail,
                                 AttentionResult &out);
 
+    /** Start a query or a heartbeat round: demote workers whose
+     *  transport closed under us to Dead, and make every reply
+     *  still in flight stale. */
     void beginOperation();
 
     EngineConfig inner_;

@@ -161,8 +161,6 @@ std::vector<std::uint8_t>
 encodeShardImage(const EngineConfig &config, const ShardKey &key,
                  const AttentionBackend &backend)
 {
-    a3Assert(backend.serializable(),
-             "backend \"", backend.name(), "\" has no shard image");
     WireWriter payload;
     backend.serializeState(payload);
     const std::vector<std::uint8_t> &body = payload.bytes();

@@ -120,7 +120,7 @@ constexpr std::uint32_t kShardImageMagic = 0x41335350u;  // "A3SP"
 constexpr std::uint16_t kShardImageVersion = 2;
 
 /**
- * Serialize `backend` (which must be serializable()) into the
+ * Serialize `backend` (a plain, single-unit kind) into the
  * versioned, checksummed image format above.
  */
 std::vector<std::uint8_t>

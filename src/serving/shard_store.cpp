@@ -47,13 +47,6 @@ ShardHandle::bindPrivate(const EngineConfig &config, const Matrix &key,
                             value.rowSlice(firstRow, count))));
 }
 
-AttentionBackend &
-ShardHandle::mutableBackend()
-{
-    a3Assert(!frozen_, "frozen shard handles are immutable");
-    return *backend_;
-}
-
 void
 ShardHandle::appendRows(const Matrix &keyRows, const Matrix &valueRows)
 {
@@ -83,20 +76,6 @@ ShardHandle::contentKey() const
 
 // -------------------------------------------------------------------
 // ShardStore
-
-const char *
-shardSourceName(ShardSource source)
-{
-    switch (source) {
-    case ShardSource::ColdBound:
-        return "cold_bound";
-    case ShardSource::LiveShared:
-        return "live_shared";
-    case ShardSource::SpillRestored:
-        return "spill_restored";
-    }
-    return "unknown";
-}
 
 namespace {
 

@@ -84,9 +84,6 @@ class ShardHandle
 
     const AttentionBackend &backend() const { return *backend_; }
 
-    /** Mutation access; fatal on a frozen handle. */
-    AttentionBackend &mutableBackend();
-
     /** Extend a mutable tail (and its running hash). */
     void appendRows(const Matrix &keyRows, const Matrix &valueRows);
 
@@ -103,7 +100,6 @@ class ShardHandle
     /** Content key; only valid once frozen. */
     const ShardKey &contentKey() const;
 
-    const EngineConfig &engineConfig() const { return config_; }
     std::size_t rows() const { return backend_->rows(); }
     std::size_t bytes() const { return backend_->memoryBytes(); }
 
@@ -146,9 +142,6 @@ enum class ShardSource
     LiveShared,     ///< deduped against a live session's handle
     SpillRestored,  ///< decoded from a spilled image
 };
-
-/** Stable lowercase name ("cold_bound", ...). */
-const char *shardSourceName(ShardSource source);
 
 /** Monotonic usage counters of one ShardStore. */
 struct ShardStoreStats

@@ -4,32 +4,6 @@
 
 namespace a3 {
 
-const char *
-traceEventKindName(TraceEventKind kind)
-{
-    switch (kind) {
-    case TraceEventKind::Bind:
-        return "bind";
-    case TraceEventKind::Append:
-        return "append";
-    case TraceEventKind::Query:
-        return "query";
-    }
-    return "unknown";
-}
-
-const char *
-sessionStyleName(SessionStyle style)
-{
-    switch (style) {
-    case SessionStyle::Rag:
-        return "rag";
-    case SessionStyle::Chat:
-        return "chat";
-    }
-    return "unknown";
-}
-
 std::size_t
 Trace::countOf(TraceEventKind kind) const
 {

@@ -50,9 +50,6 @@ enum class TraceEventKind : std::uint8_t {
     Query,
 };
 
-/** Stable lowercase name ("bind", "append", "query"). */
-const char *traceEventKindName(TraceEventKind kind);
-
 /** Session lifecycle archetype. */
 enum class SessionStyle : std::uint8_t {
     /** Bind-once-query-many over a *shared* document from the trace
@@ -63,9 +60,6 @@ enum class SessionStyle : std::uint8_t {
      *  concentrates in the mutable tail shard. */
     Chat,
 };
-
-/** Stable lowercase name ("rag", "chat"). */
-const char *sessionStyleName(SessionStyle style);
 
 /** `document` value of sessions with private (unshared) content. */
 constexpr std::uint32_t kPrivateDocument = 0xffffffffu;

@@ -111,15 +111,6 @@ Rng::bernoulli(double p)
     return uniform() < p;
 }
 
-std::vector<double>
-Rng::normalVector(std::size_t count)
-{
-    std::vector<double> out(count);
-    for (auto &v : out)
-        v = normal();
-    return out;
-}
-
 Rng
 Rng::split()
 {

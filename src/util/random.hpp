@@ -52,9 +52,6 @@ class Rng
     /** Bernoulli trial with probability p of returning true. */
     bool bernoulli(double p);
 
-    /** A fresh vector of `count` standard-normal samples. */
-    std::vector<double> normalVector(std::size_t count);
-
     /** Fisher-Yates shuffle of `values` in place. */
     template <typename T>
     void

@@ -1,11 +1,29 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <thread>
 
 #include "util/logging.hpp"
 
 namespace a3 {
+
+double
+nowSeconds()
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
+void
+sleepSeconds(double seconds)
+{
+    if (seconds > 0.0)
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(seconds));
+}
 
 void
 RunningStat::add(double sample)

@@ -1,6 +1,7 @@
 /**
  * @file
- * Streaming statistics accumulators used by the experiment harness.
+ * Streaming statistics accumulators used by the experiment harness,
+ * and the monotonic clock their latency samples are read from.
  */
 
 #ifndef A3_UTIL_STATS_HPP
@@ -13,6 +14,16 @@
 #include <vector>
 
 namespace a3 {
+
+/**
+ * Seconds on the monotonic steady clock, from an arbitrary epoch:
+ * the one clock every deadline, timeout and latency sample in the
+ * serving and network tiers reads.
+ */
+double nowSeconds();
+
+/** Block the calling thread; a non-positive duration returns. */
+void sleepSeconds(double seconds);
 
 /**
  * Single-pass mean / variance / extrema accumulator (Welford's algorithm),

@@ -1123,6 +1123,160 @@ TEST(RemoteFaultToleranceTest, DelayedRepliesAreStaleNotWrong)
     EXPECT_GT(remote.stats().timeouts, 0u);
 }
 
+/** Wraps only worker 0's transport (workers connect in index
+ *  order) in a FaultyTransport driven by `injector`. */
+TransportDecorator
+faultWorkerZero(std::shared_ptr<FaultInjector> injector)
+{
+    auto connects = std::make_shared<std::size_t>(0);
+    return [connects, injector](std::shared_ptr<Transport> transport)
+               -> std::shared_ptr<Transport> {
+        if ((*connects)++ != 0)
+            return transport;
+        return std::make_shared<FaultyTransport>(std::move(transport),
+                                                 injector);
+    };
+}
+
+std::shared_ptr<FaultInjector>
+recvFault(FrameType type, FaultAction action, std::size_t maxTriggers)
+{
+    return std::make_shared<FaultInjector>(
+        13, std::vector<FaultRule>{{type, false, action,
+                                    FaultDirection::Recv, 1.0, 0.0,
+                                    maxTriggers}});
+}
+
+TEST(RemoteFaultToleranceTest, CorruptBindAckLeavesWorkerAlive)
+{
+    Rng rng(241);
+    const Matrix key = randomMatrix(rng, 48, 8);
+    const Matrix value = randomMatrix(rng, 48, 8);
+    const EngineConfig inner = configFor(EngineKind::ExactFloat);
+
+    // The first BindAck worker 0 sends (shard 0's, at construction)
+    // fails its checksum: a transient fault, so the bind moves on to
+    // worker 1 and worker 0 stays alive with shard 2.
+    Fleet fleet = makeFleet(2);
+    auto injector = recvFault(FrameType::BindAck, FaultAction::Corrupt,
+                              1);
+    RemoteShardConfig config = fastConfig();
+    config.decorateTransport = faultWorkerZero(injector);
+    RemoteShardCoordinator remote(inner, key, value, fleet.specs(),
+                                  config);
+    ShardedBackend sharded(inner, key, value, ShardedConfig{16});
+    EXPECT_EQ(injector->stats().corrupted, 1u);
+    EXPECT_EQ(remote.stats().checksumRejects, 1u);
+    EXPECT_EQ(remote.workerHealth(0), WorkerHealth::Healthy);
+    EXPECT_EQ(remote.workerHealth(1), WorkerHealth::Healthy);
+
+    for (int i = 0; i < 4; ++i) {
+        const Vector query = randomQuery(rng, 8);
+        expectBitIdentical(remote.run(query), sharded.run(query));
+    }
+    EXPECT_EQ(remote.stats().localFallbacks, 0u);
+}
+
+TEST(RemoteFaultToleranceTest, LostHeartbeatAcksMakeSuspectThenDead)
+{
+    Rng rng(251);
+    const Matrix key = randomMatrix(rng, 48, 8);
+    const Matrix value = randomMatrix(rng, 48, 8);
+    const EngineConfig inner = configFor(EngineKind::ExactFloat);
+
+    Fleet fleet = makeFleet(2);
+    RemoteShardConfig config = fastConfig();
+    config.decorateTransport = faultWorkerZero(
+        recvFault(FrameType::HeartbeatAck, FaultAction::Drop,
+                  std::numeric_limits<std::size_t>::max()));
+    RemoteShardCoordinator remote(inner, key, value, fleet.specs(),
+                                  config);
+
+    remote.heartbeat();
+    EXPECT_EQ(remote.workerHealth(0), WorkerHealth::Suspect);
+    EXPECT_EQ(remote.workerHealth(1), WorkerHealth::Healthy);
+    EXPECT_EQ(remote.stats().timeouts, 1u);
+
+    // A second consecutive miss kills worker 0, and its shards 0
+    // and 2 are re-replicated onto worker 1.
+    remote.heartbeat();
+    EXPECT_EQ(remote.workerHealth(0), WorkerHealth::Dead);
+    EXPECT_EQ(remote.workerHealth(1), WorkerHealth::Healthy);
+    EXPECT_EQ(remote.stats().timeouts, 2u);
+    EXPECT_EQ(remote.stats().rebinds, 2u);
+
+    ShardedBackend sharded(inner, key, value, ShardedConfig{16});
+    for (int i = 0; i < 4; ++i) {
+        const Vector query = randomQuery(rng, 8);
+        expectBitIdentical(remote.run(query), sharded.run(query));
+    }
+    EXPECT_EQ(remote.stats().localFallbacks, 0u);
+}
+
+TEST(RemoteFaultToleranceTest, ConnectionErrorFailsHeartbeatAtOnce)
+{
+    Rng rng(263);
+    const Matrix key = randomMatrix(rng, 48, 8);
+    const Matrix value = randomMatrix(rng, 48, 8);
+    const EngineConfig inner = configFor(EngineKind::ExactFloat);
+
+    // Worker 0 receives a corrupted Heartbeat and answers with a
+    // connection-level ErrorReply: the probe fails on that report,
+    // without waiting out its timeout or counting a miss.
+    Fleet fleet = makeFleet(2);
+    auto injector = std::make_shared<FaultInjector>(
+        17, std::vector<FaultRule>{{FrameType::Heartbeat, false,
+                                    FaultAction::Corrupt,
+                                    FaultDirection::Send, 1.0, 0.0,
+                                    1}});
+    RemoteShardConfig config = fastConfig();
+    config.decorateTransport = faultWorkerZero(injector);
+    RemoteShardCoordinator remote(inner, key, value, fleet.specs(),
+                                  config);
+
+    remote.heartbeat();
+    EXPECT_EQ(injector->stats().corrupted, 1u);
+    EXPECT_EQ(remote.workerHealth(0), WorkerHealth::Healthy);
+    const RemoteCoordinatorStats stats = remote.stats();
+    EXPECT_EQ(stats.timeouts, 0u);
+    EXPECT_EQ(stats.staleReplies, 0u);
+
+    ShardedBackend sharded(inner, key, value, ShardedConfig{16});
+    const Vector query = randomQuery(rng, 8);
+    expectBitIdentical(remote.run(query), sharded.run(query));
+    EXPECT_EQ(remote.stats().localFallbacks, 0u);
+}
+
+TEST(RemoteFaultToleranceTest, LostHelloAckCountsATimeout)
+{
+    Rng rng(257);
+    const Matrix key = randomMatrix(rng, 48, 8);
+    const Matrix value = randomMatrix(rng, 48, 8);
+    const EngineConfig inner = configFor(EngineKind::ExactFloat);
+
+    // Worker 0's handshake never completes: it starts out dead, and
+    // worker 1 holds and serves every shard.
+    Fleet fleet = makeFleet(2);
+    RemoteShardConfig config = fastConfig();
+    config.decorateTransport = faultWorkerZero(
+        recvFault(FrameType::HelloAck, FaultAction::Drop, 1));
+    RemoteShardCoordinator remote(inner, key, value, fleet.specs(),
+                                  config);
+    EXPECT_EQ(remote.workerHealth(0), WorkerHealth::Dead);
+    EXPECT_EQ(remote.workerHealth(1), WorkerHealth::Healthy);
+    EXPECT_EQ(remote.stats().timeouts, 1u);
+
+    ShardedBackend sharded(inner, key, value, ShardedConfig{16});
+    for (int i = 0; i < 4; ++i) {
+        const Vector query = randomQuery(rng, 8);
+        expectBitIdentical(remote.run(query), sharded.run(query));
+    }
+    const RemoteCoordinatorStats stats = remote.stats();
+    EXPECT_EQ(stats.timeouts, 1u);
+    EXPECT_EQ(stats.failovers, 0u);
+    EXPECT_EQ(stats.localFallbacks, 0u);
+}
+
 /**
  * The serving tier above the coordinator: a BatchScheduler drains a
  * session whose backend is a RemoteShardCoordinator while one of
