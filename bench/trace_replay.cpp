@@ -238,9 +238,8 @@ main(int argc, char **argv)
     replay.shardRows = 128;
     replay.maxBatch = 32;
     replay.drainPeriodSeconds = 0.05;
-    replay.admission.maxQueueDepth = 160;
-    replay.admission.maxPendingPerSession = 48;
-    replay.schedulerDeadlineSeconds = 30.0;
+    replay.maxQueueDepth = 160;
+    replay.maxPendingPerSession = 48;
 
     // Cache budget from a probe bind: room for ~24 mid-sized
     // sessions out of 64, so the Zipf tail churns the LRU and the

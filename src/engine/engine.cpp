@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <utility>
 
@@ -41,21 +40,9 @@ struct FlattenScratch
     std::vector<std::vector<PartialResult>> partials;
     /** Per flat query: units still running (multi-unit only). */
     std::vector<std::atomic<std::size_t>> unitsLeft;
-    /** Per group: queries still running (only with a hook). */
-    std::vector<std::atomic<std::size_t>> queriesLeft;
     /** Set while a pass runs, to catch re-entry on one thread. */
     bool inUse = false;
 };
-
-/** Grow a countdown array to at least n slots. Atomics cannot be
- *  moved, so a short array is replaced instead of resized. */
-void
-growCountdowns(std::vector<std::atomic<std::size_t>> &counts,
-               std::size_t n)
-{
-    if (counts.size() < n)
-        counts = std::vector<std::atomic<std::size_t>>(n);
-}
 
 /** What every lane of one pass reads. The parallelFor body captures
  *  only a pointer to it, so std::function stores the closure inline
@@ -65,8 +52,6 @@ struct Pass
     const std::vector<AttentionRequestGroup> &groups;
     std::vector<std::vector<AttentionResult>> &results;
     FlattenScratch &scratch;
-    const GroupCompletionHook &onGroupDone;
-    std::chrono::steady_clock::time_point start;
 };
 
 /**
@@ -75,9 +60,7 @@ struct Pass
  * and the lane that takes the query's countdown to zero saw every
  * other lane's partial (acq_rel) and merges them serially in unit
  * order (mergeUnitsInto). Either way the result is bit-identical to
- * a sequential runInto() call. The lane that takes a group's
- * countdown to zero finished its last query and owns the group's
- * one completion report.
+ * a sequential runInto() call.
  */
 void
 runWorkUnit(const Pass &pass, std::size_t i)
@@ -93,17 +76,9 @@ runWorkUnit(const Pass &pass, std::size_t i)
         const std::size_t f = s.queryBase[item.group] + item.query;
         group.backend->runUnitPartialInto(
             item.unit, query, s.partials[f][item.unit], group.detail);
-        if (s.unitsLeft[f].fetch_sub(1, std::memory_order_acq_rel) !=
+        if (s.unitsLeft[f].fetch_sub(1, std::memory_order_acq_rel) ==
             1)
-            return;
-        group.backend->mergeUnitsInto(s.partials[f], slot);
-    }
-    if (pass.onGroupDone &&
-        s.queriesLeft[item.group].fetch_sub(
-            1, std::memory_order_acq_rel) == 1) {
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - pass.start;
-        pass.onGroupDone(item.group, elapsed.count());
+            group.backend->mergeUnitsInto(s.partials[f], slot);
     }
 }
 
@@ -127,8 +102,7 @@ AttentionEngine::shared()
 void
 AttentionEngine::runGroupsInto(
     const std::vector<AttentionRequestGroup> &groups,
-    std::vector<std::vector<AttentionResult>> &results,
-    const GroupCompletionHook &onGroupDone) const
+    std::vector<std::vector<AttentionResult>> &results) const
 {
     thread_local FlattenScratch scratch;
     a3Assert(!scratch.inUse,
@@ -176,11 +150,15 @@ AttentionEngine::runGroupsInto(
                          static_cast<std::uint32_t>(u)});
 
     // Partial slots and unit countdowns, armed only for multi-unit
-    // groups; group countdowns only when a hook listens.
+    // groups.
     const std::size_t totalQueries = scratch.queryBase[groups.size()];
     if (scratch.partials.size() < totalQueries)
         scratch.partials.resize(totalQueries);
-    growCountdowns(scratch.unitsLeft, totalQueries);
+    // Atomics cannot be moved, so a short countdown array is
+    // replaced instead of resized.
+    if (scratch.unitsLeft.size() < totalQueries)
+        scratch.unitsLeft =
+            std::vector<std::atomic<std::size_t>>(totalQueries);
     for (std::size_t g = 0; g < groups.size(); ++g) {
         if (scratch.unitCount[g] == 1)
             continue;
@@ -191,15 +169,8 @@ AttentionEngine::runGroupsInto(
                                        std::memory_order_relaxed);
         }
     }
-    if (onGroupDone) {
-        growCountdowns(scratch.queriesLeft, groups.size());
-        for (std::size_t g = 0; g < groups.size(); ++g)
-            scratch.queriesLeft[g].store(groups[g].queries.size(),
-                                         std::memory_order_relaxed);
-    }
 
-    const Pass pass{groups, results, scratch, onGroupDone,
-                    std::chrono::steady_clock::now()};
+    const Pass pass{groups, results, scratch};
     pool_.parallelFor(scratch.work.size(), [&pass](std::size_t i) {
         runWorkUnit(pass, i);
     });

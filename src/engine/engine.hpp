@@ -29,7 +29,6 @@
 #define A3_ENGINE_ENGINE_HPP
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "attention/backend.hpp"
@@ -52,18 +51,6 @@ struct AttentionRequestGroup
     std::vector<Vector> queries;
     ResultDetail detail = ResultDetail::Full;
 };
-
-/**
- * Per-group completion callback of runGroupsInto(): invoked exactly
- * once per non-empty group, by whichever pool lane finishes the
- * group's last query, with the group's index and its service time in
- * seconds measured from the start of the batch pass. Callbacks for
- * different groups may run concurrently, so the hook must be
- * thread-safe across groups (within one group it is never invoked
- * twice). Groups with no queries are not reported.
- */
-using GroupCompletionHook =
-    std::function<void(std::size_t group, double seconds)>;
 
 /** Batched executor over AttentionBackend tasks. */
 class AttentionEngine
@@ -109,19 +96,16 @@ class AttentionEngine
      *
      * Not re-entrant per thread: a thread must not call
      * runGroupsInto() again (on any engine) while one of its own
-     * passes is running — from a backend or a completion hook —
-     * because the pass holds that thread's buffers. Concurrent calls
-     * from different threads are fine; the pool serializes them.
+     * passes is running — from inside a backend — because the pass
+     * holds that thread's buffers. Concurrent calls from different
+     * threads are fine; the pool serializes them.
      *
-     * An optional `onGroupDone` fires as each group's last query
-     * completes (see GroupCompletionHook for the threading
-     * contract); the BatchScheduler feeds its latency reservoirs
-     * through it. The results are unchanged by its presence.
+     * The engine reads no clock: callers that want a pass's service
+     * time measure around the call, as the BatchScheduler does.
      */
     void runGroupsInto(
         const std::vector<AttentionRequestGroup> &groups,
-        std::vector<std::vector<AttentionResult>> &results,
-        const GroupCompletionHook &onGroupDone = {}) const;
+        std::vector<std::vector<AttentionResult>> &results) const;
 
     /**
      * Batched self-attention: preprocess (key, value) once, then

@@ -9,6 +9,20 @@
 
 namespace a3 {
 
+namespace {
+
+/** One session's share of a drain: its id, the tickets it claimed
+ *  (in the order of its group's queries), and the backend pinned for
+ *  the pass. */
+struct SessionClaim
+{
+    std::string session;
+    std::vector<std::uint64_t> tickets;
+    std::shared_ptr<AttentionBackend> backend;
+};
+
+}  // namespace
+
 const char *
 servingErrorName(ServingError error)
 {
@@ -112,13 +126,6 @@ BatchScheduler::setSessionWeight(const std::string &session,
 }
 
 std::size_t
-BatchScheduler::adaptiveQueueDepth() const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return adaptiveDepth_;
-}
-
-std::size_t
 BatchScheduler::sessionWeight(const std::string &session) const
 {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -132,7 +139,7 @@ BatchScheduler::stats() const
     // Copy the counters and raw reservoir windows under the lock,
     // then sort and interpolate after releasing it: a monitoring
     // thread polling stats() must not stall submit()/drain() claims
-    // for the duration of three sorts, inflating the very queue-wait
+    // for the duration of two sorts, inflating the very queue-wait
     // tails it reports.
     static constexpr double kFractions[3] = {0.50, 0.95, 0.99};
     std::unique_lock<std::mutex> lock(mutex_);
@@ -141,23 +148,17 @@ BatchScheduler::stats() const
     out.requestServiceP95 = serviceP95_;
     const LatencyReservoir waitWindow = queueWait_;
     const LatencyReservoir drainWindow = drainService_;
-    const LatencyReservoir groupWindow = groupService_;
     lock.unlock();
     double wait[3];
     double drain[3];
-    double group[3];
     waitWindow.percentiles(kFractions, 3, wait);
     drainWindow.percentiles(kFractions, 3, drain);
-    groupWindow.percentiles(kFractions, 3, group);
     out.queueWaitP50 = wait[0];
     out.queueWaitP95 = wait[1];
     out.queueWaitP99 = wait[2];
     out.drainServiceP50 = drain[0];
     out.drainServiceP95 = drain[1];
     out.drainServiceP99 = drain[2];
-    out.groupServiceP50 = group[0];
-    out.groupServiceP95 = group[1];
-    out.groupServiceP99 = group[2];
     return out;
 }
 
@@ -168,7 +169,6 @@ BatchScheduler::resetCounters()
     counters_ = BatchSchedulerStats{};
     queueWait_.clear();
     drainService_.clear();
-    groupService_.clear();
     // requestService_ / adaptiveDepth_ / serviceP95_ survive on
     // purpose: they are the admission signal, not a usage counter —
     // clearing them on a bench's post-warm-up reset would blind the
@@ -201,6 +201,8 @@ std::vector<ServingResult>
 BatchScheduler::drain()
 {
     const double claimSeconds = nowSeconds();
+    constexpr std::size_t kNoGroup =
+        std::numeric_limits<std::size_t>::max();
 
     // Claim this drain's share of the queue by weighted round-robin:
     // each pass over the pending sessions hands every session up to
@@ -209,13 +211,15 @@ BatchScheduler::drain()
     // of answering the globally oldest tickets first. Within one
     // session the FIFO preserves ticket order, and tickets are
     // assigned under the same lock, so the per-session claim order is
-    // the per-session ticket order. A claimed request whose queue
-    // wait has already blown its deadline is shed here with a typed
-    // DeadlineExpired completion — it consumes no batch slot, so
-    // expired backlog cannot crowd live work out of the pass.
+    // the per-session ticket order. Each claimed request goes straight
+    // into its session's group: groups in first-claim order, queries
+    // in claim order. A claimed request whose queue wait has already
+    // blown its deadline is shed here with a typed DeadlineExpired
+    // completion — it consumes no batch slot, so expired backlog
+    // cannot crowd live work out of the pass.
     std::vector<ServingResult> completions;
-    std::vector<PendingRequest> batch;
-    std::vector<std::string> batchSession;
+    std::vector<AttentionRequestGroup> groups;
+    std::vector<SessionClaim> claims;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         if (pendingCount_ == 0)
@@ -223,8 +227,9 @@ BatchScheduler::drain()
         const std::size_t take =
             maxBatch_ == 0 ? pendingCount_
                            : std::min(maxBatch_, pendingCount_);
-        batch.reserve(take);
-        batchSession.reserve(take);
+        std::size_t taken = 0;
+        // The group of each activeOrder_ position, once it claims.
+        std::vector<std::size_t> groupAt(activeOrder_.size(), kNoGroup);
         // Rotate the round-robin start across drains so the leftover
         // slots of a non-divisible maxBatch do not always land on the
         // earliest-arrived session.
@@ -233,18 +238,19 @@ BatchScheduler::drain()
         ++drainRounds_;
         // Sheds drop pendingCount_ below the precomputed take, so
         // the loop also stops once the queue is empty.
-        while (batch.size() < take && pendingCount_ > 0) {
+        while (taken < take && pendingCount_ > 0) {
             bool progress = false;
             for (std::size_t i = 0;
-                 i < activeOrder_.size() && batch.size() < take &&
+                 i < activeOrder_.size() && taken < take &&
                  pendingCount_ > 0;
                  ++i) {
-                const std::string &name =
-                    activeOrder_[(start + i) % activeOrder_.size()];
+                const std::size_t at =
+                    (start + i) % activeOrder_.size();
+                const std::string &name = activeOrder_[at];
                 SessionState &state = sessions_[name];
                 std::size_t claimed = 0;
                 while (claimed < state.weight &&
-                       !state.pending.empty() && batch.size() < take) {
+                       !state.pending.empty() && taken < take) {
                     PendingRequest &request = state.pending.front();
                     // The ordering guarantee across truncation
                     // boundaries: a session's tickets leave the queue
@@ -256,22 +262,35 @@ BatchScheduler::drain()
                     state.lastClaimedTicket = request.ticket;
                     --pendingCount_;
                     progress = true;
+                    // Queue wait is submit-to-claim; a submit that
+                    // raced in between the clock read and the lock
+                    // can look sub-zero by the race window.
                     const double wait =
                         claimSeconds - request.submitSeconds;
+                    queueWait_.add(std::max(0.0, wait));
                     if (request.deadlineSeconds > 0.0 &&
                         wait > request.deadlineSeconds) {
                         ++counters_.shedDeadlineExpired;
-                        queueWait_.add(std::max(0.0, wait));
                         completions.push_back(
                             {request.ticket, name, {},
                              ServingError::DeadlineExpired});
                         state.pending.pop_front();
                         continue;  // no batch slot consumed
                     }
-                    batchSession.push_back(name);
-                    batch.push_back(std::move(request));
+                    if (groupAt[at] == kNoGroup) {
+                        groupAt[at] = groups.size();
+                        groups.push_back({nullptr, {}, request.detail});
+                        claims.push_back({name, {}, nullptr});
+                    }
+                    AttentionRequestGroup &group = groups[groupAt[at]];
+                    if (request.detail == ResultDetail::Full)
+                        group.detail = ResultDetail::Full;
+                    group.queries.push_back(std::move(request.query));
+                    claims[groupAt[at]].tickets.push_back(
+                        request.ticket);
                     state.pending.pop_front();
                     ++claimed;
+                    ++taken;
                 }
             }
             a3Assert(progress,
@@ -299,106 +318,67 @@ BatchScheduler::drain()
             activeOrder_.end());
     }
 
-    // Coalesce per session: one request group per distinct session,
-    // groups ordered by first claim, queries in ticket order within
-    // their group (the claim order). The shared_ptrs pin every
-    // backend for the duration of the pass even if the cache evicts
-    // the session concurrently. A session unbound at lookup time
-    // (evicted between submit and drain, or its backend mid-rebind)
-    // completes its claimed requests with a typed SessionUnbound
-    // error instead of aborting the server.
-    constexpr std::size_t kUnbound =
-        std::numeric_limits<std::size_t>::max();
-    completions.reserve(completions.size() + batch.size());
-    std::vector<AttentionRequestGroup> groups;
-    std::vector<std::shared_ptr<AttentionBackend>> pinned;
-    std::vector<std::string> sessionOf;
-    std::vector<std::vector<std::uint64_t>> ticketsOf;
-    std::unordered_map<std::string, std::size_t> groupIndex;
-    for (std::size_t r = 0; r < batch.size(); ++r) {
-        const std::string &session = batchSession[r];
-        const auto found = groupIndex.find(session);
-        std::size_t g;
-        if (found != groupIndex.end()) {
-            g = found->second;
-        } else {
-            std::shared_ptr<AttentionBackend> backend =
-                cache_.find(session);
-            if (backend == nullptr) {
-                g = kUnbound;
-            } else {
-                g = sessionOf.size();
-                sessionOf.push_back(session);
-                ticketsOf.emplace_back();
-                groups.push_back(
-                    {backend.get(), {}, ResultDetail::Output});
-                pinned.push_back(std::move(backend));
-            }
-            groupIndex.emplace(session, g);
-        }
-        if (g == kUnbound) {
-            completions.push_back({batch[r].ticket, session, {},
-                                   ServingError::SessionUnbound});
+    // Resolve each group's session once, outside the lock. The
+    // shared_ptrs pin every backend for the duration of the pass even
+    // if the cache evicts the session concurrently. A session unbound
+    // at lookup time (evicted between submit and drain, or its
+    // backend mid-rebind) completes its claimed requests with a typed
+    // SessionUnbound error instead of aborting the server, and its
+    // group leaves the pass; the bound groups keep their order.
+    std::size_t bound = 0;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        SessionClaim &claim = claims[g];
+        claim.backend = cache_.find(claim.session);
+        if (claim.backend == nullptr) {
+            for (const std::uint64_t ticket : claim.tickets)
+                completions.push_back({ticket, claim.session, {},
+                                       ServingError::SessionUnbound});
             continue;
         }
-        if (batch[r].detail == ResultDetail::Full)
-            groups[g].detail = ResultDetail::Full;
-        groups[g].queries.push_back(std::move(batch[r].query));
-        ticketsOf[g].push_back(batch[r].ticket);
+        groups[g].backend = claim.backend.get();
+        if (bound != g) {
+            groups[bound] = std::move(groups[g]);
+            claims[bound] = std::move(claim);
+        }
+        ++bound;
     }
+    groups.resize(bound);
+    claims.resize(bound);
 
     // Local results: each drain owns its buffers, so concurrent
     // drain() calls from different worker threads never share state
-    // (the claimed requests are already disjoint). The engine hook
-    // writes each group's service time into its own slot — one
-    // writer per group, per the GroupCompletionHook contract.
-    std::vector<double> groupSeconds(groups.size(), 0.0);
-    std::vector<std::vector<AttentionResult>> groupResults;
+    // (the claimed requests are already disjoint).
+    std::vector<std::vector<AttentionResult>> results;
     const double passStart = nowSeconds();
-    engine_.runGroupsInto(groups, groupResults,
-                          [&groupSeconds](std::size_t g,
-                                          double seconds) {
-                              groupSeconds[g] = seconds;
-                          });
+    engine_.runGroupsInto(groups, results);
     const double passSeconds = nowSeconds() - passStart;
 
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        for (std::size_t q = 0; q < ticketsOf[g].size(); ++q) {
-            completions.push_back({ticketsOf[g][q], sessionOf[g],
-                                   std::move(groupResults[g][q]),
-                                   ServingError::None});
-        }
-    }
-    std::sort(completions.begin(), completions.end(),
-              [](const ServingResult &a, const ServingResult &b) {
-                  return a.ticket < b.ticket;
-              });
     // Flattened work units this pass scheduled: each group's queries
     // × its backend's decomposition (one per shard for a sharded
     // session). Also the denominator-side signal for the adaptive
     // depth: per-request service time, one sample per drain.
     std::size_t passUnits = 0;
     std::size_t executed = 0;
-    for (const AttentionRequestGroup &group : groups) {
+    for (std::size_t g = 0; g < claims.size(); ++g) {
+        const SessionClaim &claim = claims[g];
+        for (std::size_t q = 0; q < claim.tickets.size(); ++q)
+            completions.push_back({claim.tickets[q], claim.session,
+                                   std::move(results[g][q]),
+                                   ServingError::None});
         passUnits +=
-            group.backend->workUnitCount() * group.queries.size();
-        executed += group.queries.size();
+            claim.backend->workUnitCount() * claim.tickets.size();
+        executed += claim.tickets.size();
     }
+    std::sort(completions.begin(), completions.end(),
+              [](const ServingResult &a, const ServingResult &b) {
+                  return a.ticket < b.ticket;
+              });
 
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         counters_.answered += completions.size();
         counters_.groups += groups.size();
         counters_.workUnits += passUnits;
-        // Queue wait is measured submit-to-claim; a submit that raced
-        // in between our clock read and the claim lock can look
-        // sub-zero by the race window, so clamp at 0.
-        for (const PendingRequest &request : batch) {
-            queueWait_.add(std::max(
-                0.0, claimSeconds - request.submitSeconds));
-        }
-        for (const double seconds : groupSeconds)
-            groupService_.add(seconds);
         // A drain that shed its entire claim ran no engine pass;
         // keep the service reservoirs clean of its ~0s sample.
         if (executed > 0) {

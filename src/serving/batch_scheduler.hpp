@@ -18,8 +18,10 @@
  * forms its batch by weighted round-robin over the sessions with
  * pending work — each pass hands every session up to its weight in
  * slots — so one chatty or sharded-huge session cannot starve the
- * rest when maxBatch truncates the drain. The claimed requests are
- * coalesced into one AttentionRequestGroup per session and driven
+ * rest when maxBatch truncates the drain. drain() makes one pass over
+ * the queue: each claimed request goes straight into its session's
+ * AttentionRequestGroup, each group's session is resolved in the
+ * cache once after the claim lock is released, and the groups run
  * through AttentionEngine::runGroupsInto in one batched,
  * multi-threaded pass that flattens every (query, shard) work unit
  * onto the engine's lanes.
@@ -36,11 +38,11 @@
  * coalescing, cache hits, appends between drains, or the engine's
  * thread count.
  *
- * Telemetry: per-request queue wait (submit to claim) and per-drain /
- * per-group service times are recorded into fixed-size
- * LatencyReservoir windows and surfaced as p50/p95/p99 through
- * stats(), so overload shows up as measured tail latency rather than
- * anecdotes.
+ * Telemetry: per-request queue wait (submit to claim, recorded at
+ * claim time) and per-drain service time are recorded into
+ * fixed-size LatencyReservoir windows and surfaced as p50/p95/p99
+ * through stats(), so overload shows up as measured tail latency
+ * rather than anecdotes.
  */
 
 #ifndef A3_SERVING_BATCH_SCHEDULER_HPP
@@ -200,11 +202,6 @@ struct BatchSchedulerStats
     double drainServiceP50 = 0.0;
     double drainServiceP95 = 0.0;
     double drainServiceP99 = 0.0;
-
-    /** Seconds from pass start until one session group completed. */
-    double groupServiceP50 = 0.0;
-    double groupServiceP95 = 0.0;
-    double groupServiceP99 = 0.0;
 };
 
 /**
@@ -255,17 +252,6 @@ class BatchScheduler
 
     /** Current weight of `session` (1 unless set). */
     std::size_t sessionWeight(const std::string &session) const;
-
-    /**
-     * Effective adaptive queue-depth bound: 0 while disabled
-     * (policy.targetLatencySeconds unset) or unlearned (no service
-     * samples yet), else max(1, targetLatencySeconds /
-     * observed-p95-service-time), re-derived after every drain.
-     */
-    std::size_t adaptiveQueueDepth() const;
-
-    /** The admission policy evaluated by submit(). */
-    const AdmissionPolicy &policy() const { return policy_; }
 
     /** Requests currently queued. */
     std::size_t pending() const;
@@ -340,7 +326,6 @@ class BatchScheduler
      *  to stay a fixed-size footprint per scheduler. */
     static constexpr std::size_t kQueueWaitWindow = 4096;
     static constexpr std::size_t kDrainServiceWindow = 1024;
-    static constexpr std::size_t kGroupServiceWindow = 4096;
     /** Per-request service samples (one per drain) feeding the
      *  adaptive depth; smaller than the wait window because one
      *  sample summarizes a whole drain. */
@@ -367,7 +352,6 @@ class BatchScheduler
     BatchSchedulerStats counters_;
     LatencyReservoir queueWait_{kQueueWaitWindow};
     LatencyReservoir drainService_{kDrainServiceWindow};
-    LatencyReservoir groupService_{kGroupServiceWindow};
     LatencyReservoir requestService_{kRequestServiceWindow};
 };
 

@@ -132,10 +132,6 @@ replayTrace(const Trace &trace, AttentionEngine &engine,
         fatal("replayTrace: dims must be nonzero");
     if (config.drainPeriodSeconds <= 0.0)
         fatal("replayTrace: drainPeriodSeconds must be positive");
-    if (config.admission.targetLatencySeconds != 0.0)
-        fatal("replayTrace: targetLatencySeconds uses wall-clock "
-              "service time and would make the replay "
-              "nondeterministic; leave it 0");
     if (config.store != nullptr && config.shardRows == 0)
         fatal("replayTrace: a ShardStore requires shardRows > 0");
 
@@ -145,8 +141,10 @@ replayTrace(const Trace &trace, AttentionEngine &engine,
     cacheConfig.shardRows = config.shardRows;
     cacheConfig.store = config.store;
     SessionCache cache(cacheConfig);
-    BatchScheduler scheduler(engine, cache, config.maxBatch,
-                             config.admission);
+    AdmissionPolicy admission;
+    admission.maxQueueDepth = config.maxQueueDepth;
+    admission.maxPendingPerSession = config.maxPendingPerSession;
+    BatchScheduler scheduler(engine, cache, config.maxBatch, admission);
 
     const ShardStoreStats storeBefore =
         config.store ? config.store->stats() : ShardStoreStats{};
@@ -184,10 +182,9 @@ replayTrace(const Trace &trace, AttentionEngine &engine,
 
     auto submitQuery = [&](std::uint32_t s, Vector query,
                            double arrival, double deadline) {
-        SubmitOptions options;
-        options.deadlineSeconds = config.schedulerDeadlineSeconds;
         // result_hash covers the kept rows, so replay asks for the
         // dense diagnostics.
+        SubmitOptions options;
         options.detail = ResultDetail::Full;
         const SessionHandle &handle = ensureBound(s);
         AdmissionOutcome outcome =
@@ -201,17 +198,12 @@ replayTrace(const Trace &trace, AttentionEngine &engine,
             inflight.emplace(outcome.ticket, std::move(info));
             return;
         }
-        switch (outcome.decision) {
-        case AdmissionDecision::RejectedQueueFull:
+        // The two limits the replay sets are the only ones that
+        // can shed.
+        if (outcome.decision == AdmissionDecision::RejectedQueueFull)
             ++report.shedQueueFull;
-            break;
-        case AdmissionDecision::RejectedSessionCap:
+        else
             ++report.shedSessionCap;
-            break;
-        default:
-            ++report.shedOther;
-            break;
-        }
     };
 
     auto handleEvent = [&](const TraceEvent &event) {

@@ -16,14 +16,12 @@
  * bit-identical across two runs at the same seed.
  *
  * Division of labor with the scheduler's own wall-clock machinery:
- * admission (queue depth, per-session cap) runs for real inside
- * submit() and produces the shed counts; the scheduler's
- * *wall-clock* deadline path is exercised with a generous
- * schedulerDeadlineSeconds budget so its bookkeeping runs without
- * ever shedding nondeterministically. For the same reason
- * the replay admission policy must not set targetLatencySeconds
- * (adaptive depth keys off real service time); replayTrace()
- * fatal()s if it does.
+ * the replay hands the scheduler only the limits it applies
+ * deterministically — queue depth and the per-session cap, which run
+ * for real inside submit() and produce the shed counts. It submits
+ * without a scheduler deadline and with no adaptive depth, since
+ * both key off wall-clock time; the trace's deadlines are judged
+ * against the virtual wait instead.
  *
  * Realistic failure handling is part of the loop: the Zipf tail plus
  * a finite cache budget means sessions get evicted while queries for
@@ -50,7 +48,6 @@
 #include "attention/backend.hpp"
 #include "attention/types.hpp"
 #include "engine/engine.hpp"
-#include "serving/admission.hpp"
 #include "serving/shard_store.hpp"
 #include "tensor/matrix.hpp"
 #include "trace/trace.hpp"
@@ -74,10 +71,10 @@ struct ReplayConfig
      *  everything pending. */
     std::size_t maxBatch = 32;
 
-    /** Admission limits. targetLatencySeconds must stay 0: adaptive
-     *  depth keys off wall-clock service time and would make the
-     *  replay nondeterministic (enforced with fatal()). */
-    AdmissionPolicy admission;
+    /** Scheduler admission limits (AdmissionPolicy::maxQueueDepth
+     *  and maxPendingPerSession); 0 = unbounded. */
+    std::size_t maxQueueDepth = 0;
+    std::size_t maxPendingPerSession = 0;
 
     /** SessionCache byte budget; 0 = unlimited (no eviction
      *  churn). */
@@ -89,11 +86,6 @@ struct ReplayConfig
     /** Cross-session shard registry (borrowed); nullptr disables
      *  sharing. Requires shardRows > 0. */
     ShardStore *store = nullptr;
-
-    /** Generous *wall-clock* deadline handed to the scheduler so
-     *  its deadline machinery runs without nondeterministic sheds;
-     *  0 submits without one. */
-    double schedulerDeadlineSeconds = 30.0;
 
     /** Retain every served AttentionResult in completion order
      *  (ReplayReport::results) — for bit-identity tests; off by
@@ -126,7 +118,6 @@ struct ReplayReport
     /** Submits shed by the admission policy, by limit. */
     std::uint64_t shedQueueFull = 0;
     std::uint64_t shedSessionCap = 0;
-    std::uint64_t shedOther = 0;
 
     /** Queries lost to unrecoverable errors. Zero in a healthy
      *  replay (CI gates on this). */
@@ -143,7 +134,7 @@ struct ReplayReport
     /** All admission sheds. */
     std::uint64_t shed() const
     {
-        return shedQueueFull + shedSessionCap + shedOther;
+        return shedQueueFull + shedSessionCap;
     }
 
     /** shed() / queries submitted. */

@@ -1,13 +1,12 @@
 /**
  * @file
- * Lightweight logging utilities in the spirit of gem5's logging.hh.
+ * Lightweight error reporting in the spirit of gem5's logging.hh.
  *
- * Four severities are provided:
- *  - inform(): status messages with no connotation of incorrect behaviour.
- *  - warn():   something may be wrong but the run can continue.
+ * Two severities are provided, both printed to stderr:
  *  - fatal():  the run cannot continue because of a user error
  *              (bad configuration, invalid arguments); exits with code 1.
  *  - panic():  an internal invariant was violated (a library bug); aborts.
+ * a3Assert() panics unless its condition holds.
  */
 
 #ifndef A3_UTIL_LOGGING_HPP
@@ -19,24 +18,10 @@
 
 namespace a3 {
 
-/** Verbosity levels for the global logger. */
-enum class LogLevel {
-    Quiet = 0,  ///< only fatal/panic output
-    Warn = 1,   ///< warnings and above
-    Info = 2,   ///< informational messages and above
-    Debug = 3,  ///< everything, including debug traces
-};
-
-/** Set the process-wide log verbosity. Thread-compatible, not thread-safe. */
-void setLogLevel(LogLevel level);
-
-/** Current process-wide log verbosity. */
-LogLevel logLevel();
-
 namespace detail {
 
-/** Emit a formatted log line to stderr if `level` passes the filter. */
-void emit(LogLevel level, const char *tag, const std::string &message);
+/** Write one "[a3:<tag>] <message>" line to stderr. */
+void emit(const char *tag, const std::string &message);
 
 /** Fold a parameter pack into a single string via ostringstream. */
 template <typename... Args>
@@ -50,33 +35,6 @@ concat(Args &&...args)
 
 }  // namespace detail
 
-/** Informational message (level Info). */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::emit(LogLevel::Info, "info",
-                 detail::concat(std::forward<Args>(args)...));
-}
-
-/** Debug trace (level Debug). */
-template <typename... Args>
-void
-debug(Args &&...args)
-{
-    detail::emit(LogLevel::Debug, "debug",
-                 detail::concat(std::forward<Args>(args)...));
-}
-
-/** Warning: possibly-incorrect behaviour that does not stop the run. */
-template <typename... Args>
-void
-warn(Args &&...args)
-{
-    detail::emit(LogLevel::Warn, "warn",
-                 detail::concat(std::forward<Args>(args)...));
-}
-
 /**
  * Unrecoverable user error (bad inputs or configuration).
  * Prints the message and exits with status 1.
@@ -85,7 +43,7 @@ template <typename... Args>
 [[noreturn]] void
 fatal(Args &&...args)
 {
-    detail::emit(LogLevel::Quiet, "fatal",
+    detail::emit("fatal",
                  detail::concat(std::forward<Args>(args)...));
     std::exit(1);
 }
@@ -98,7 +56,7 @@ template <typename... Args>
 [[noreturn]] void
 panic(Args &&...args)
 {
-    detail::emit(LogLevel::Quiet, "panic",
+    detail::emit("panic",
                  detail::concat(std::forward<Args>(args)...));
     std::abort();
 }

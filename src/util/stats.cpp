@@ -79,55 +79,6 @@ RunningStat::clear()
     *this = RunningStat();
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0)
-{
-    a3Assert(hi > lo, "histogram range inverted");
-    a3Assert(bins > 0, "histogram needs at least one bin");
-}
-
-void
-Histogram::add(double sample)
-{
-    ++total_;
-    if (sample < lo_) {
-        ++underflow_;
-    } else if (sample >= hi_) {
-        ++overflow_;
-    } else {
-        auto index = static_cast<std::size_t>((sample - lo_) / width_);
-        index = std::min(index, counts_.size() - 1);
-        ++counts_[index];
-    }
-}
-
-std::size_t
-Histogram::bucket(std::size_t index) const
-{
-    a3Assert(index < counts_.size(), "histogram bucket out of range");
-    return counts_[index];
-}
-
-double
-Histogram::bucketLow(std::size_t index) const
-{
-    return lo_ + width_ * static_cast<double>(index);
-}
-
-double
-Histogram::cumulativeFraction(std::size_t index) const
-{
-    a3Assert(index < counts_.size(), "histogram bucket out of range");
-    std::size_t inRange = total_ - underflow_ - overflow_;
-    if (inRange == 0)
-        return 0.0;
-    std::size_t running = 0;
-    for (std::size_t i = 0; i <= index; ++i)
-        running += counts_[i];
-    return static_cast<double>(running) / static_cast<double>(inRange);
-}
-
 LatencyReservoir::LatencyReservoir(std::size_t capacity)
     : capacity_(capacity)
 {

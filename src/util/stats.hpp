@@ -71,50 +71,6 @@ class RunningStat
     double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/**
- * Fixed-width histogram over [lo, hi) with under/overflow buckets,
- * used to characterize score and weight distributions.
- */
-class Histogram
-{
-  public:
-    /** @param bins number of equal-width buckets between lo and hi. */
-    Histogram(double lo, double hi, std::size_t bins);
-
-    /** Record one sample. */
-    void add(double sample);
-
-    /** Count in bucket `index` (0-based, excludes under/overflow). */
-    std::size_t bucket(std::size_t index) const;
-
-    /** Samples below the histogram range. */
-    std::size_t underflow() const { return underflow_; }
-
-    /** Samples at or above the histogram range. */
-    std::size_t overflow() const { return overflow_; }
-
-    /** Total samples recorded, including under/overflow. */
-    std::size_t total() const { return total_; }
-
-    /** Number of in-range buckets. */
-    std::size_t bins() const { return counts_.size(); }
-
-    /** Inclusive lower edge of bucket `index`. */
-    double bucketLow(std::size_t index) const;
-
-    /** Fraction of in-range mass at or below bucket `index`. */
-    double cumulativeFraction(std::size_t index) const;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::size_t> counts_;
-    std::size_t underflow_ = 0;
-    std::size_t overflow_ = 0;
-    std::size_t total_ = 0;
-};
-
 /** Exact percentile (linear interpolation) of a sample vector; sorts a copy. */
 double percentile(std::vector<double> samples, double fraction);
 

@@ -277,9 +277,9 @@ TEST(Deadline, AdaptiveDepthEngagesAfterServiceSignal)
     for (int i = 0; i < 4; ++i)
         ASSERT_TRUE(
             scheduler.submit(h[0], randomQuery(rng, d)).admitted());
-    EXPECT_EQ(scheduler.adaptiveQueueDepth(), 0u);
+    EXPECT_EQ(scheduler.stats().adaptiveQueueDepth, 0u);
     ASSERT_EQ(scheduler.drain().size(), 4u);
-    EXPECT_EQ(scheduler.adaptiveQueueDepth(), 1u);
+    EXPECT_EQ(scheduler.stats().adaptiveQueueDepth, 1u);
 
     // Warm: depth 1 admits one queued request and sheds the second.
     ASSERT_TRUE(
@@ -314,7 +314,7 @@ TEST(Deadline, ResetCountersPreservesAdmissionSignal)
     ASSERT_TRUE(
         scheduler.submit(h[0], randomQuery(rng, d)).admitted());
     scheduler.drain();
-    ASSERT_EQ(scheduler.adaptiveQueueDepth(), 1u);
+    ASSERT_EQ(scheduler.stats().adaptiveQueueDepth, 1u);
 
     scheduler.resetCounters();
     const BatchSchedulerStats stats = scheduler.stats();

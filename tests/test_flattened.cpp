@@ -208,41 +208,6 @@ TEST(FlattenedEngine, MixedGroupsBitIdenticalAcrossThreadCounts)
     }
 }
 
-TEST(FlattenedEngine, CompletionHookFiresOncePerMultiUnitGroup)
-{
-    Rng rng(21400);
-    const std::size_t d = 8;
-    EngineConfig cfg;
-    cfg.kind = EngineKind::ExactFloat;
-    ShardedConfig sharding;
-    sharding.shardRows = 24;
-    const ShardedBackend sharded(cfg, randomMatrix(rng, 96, d),
-                                 randomMatrix(rng, 96, d), sharding);
-    const auto plain = makeBackend(cfg, randomMatrix(rng, 32, d),
-                                   randomMatrix(rng, 32, d));
-
-    std::vector<AttentionRequestGroup> groups(2);
-    groups[0].backend = &sharded;
-    groups[1].backend = plain.get();
-    for (int i = 0; i < 4; ++i) {
-        groups[0].queries.push_back(randomQuery(rng, d));
-        groups[1].queries.push_back(randomQuery(rng, d));
-    }
-
-    const AttentionEngine engine(4);
-    std::vector<std::vector<AttentionResult>> results;
-    std::vector<std::atomic<int>> fired(groups.size());
-    for (auto &f : fired)
-        f.store(0);
-    engine.runGroupsInto(groups, results,
-                         [&fired](std::size_t g, double seconds) {
-                             fired[g].fetch_add(1);
-                             EXPECT_GE(seconds, 0.0);
-                         });
-    for (std::size_t g = 0; g < groups.size(); ++g)
-        EXPECT_EQ(fired[g].load(), 1) << "group " << g;
-}
-
 TEST(FlattenedEngine, MixedDrainParallelBitIdenticalToSerial)
 {
     // The serving-tier shape the tentpole exists for: sharded and

@@ -7,8 +7,9 @@
  * per-session FIFO model, and checks the scheduler's contract after
  * every drain — exactly-once completion, ticket-sorted drains,
  * per-session FIFO claims, weighted round-robin fairness under
- * truncation, deadline sheds only on deadline requests, and answers
- * bit-identical to the session backend's own runInto().
+ * truncation, deadline sheds only on deadline requests, answers
+ * bit-identical to the session backend's own runInto(), and every
+ * stats() counter moving by exactly what the drain did.
  */
 
 #include <gtest/gtest.h>
@@ -111,7 +112,9 @@ class SchedulerProperty : public ::testing::TestWithParam<std::uint64_t>
         Vector query = randomQuery(rng_);
         const AdmissionOutcome outcome =
             scheduler_->submit(session.handle, query, options);
+        ++submits_;
         if (!outcome.admitted()) {
+            ++rejects_;
             // The default policy sheds nothing else: only a deadline
             // the queued work already makes unmeetable.
             EXPECT_TRUE(deadline);
@@ -205,12 +208,37 @@ class SchedulerProperty : public ::testing::TestWithParam<std::uint64_t>
         // A drain executes min(maxBatch, live) requests; sheds take no
         // slot.
         std::size_t executed = 0;
-        for (const std::size_t count : slots)
-            executed += count;
+        std::size_t boundExecuted = 0;
+        std::size_t boundGroups = 0;
+        for (std::size_t s = 0; s < sessions_.size(); ++s) {
+            executed += slots[s];
+            if (sessions_[s].bound && slots[s] > 0) {
+                boundExecuted += slots[s];
+                ++boundGroups;
+            }
+        }
         const std::size_t want = maxBatch_ == 0
                                      ? totalLive
                                      : std::min(maxBatch_, totalLive);
         EXPECT_EQ(executed, want);
+
+        // Counters move by exactly what this drain (and the submits
+        // since the last one) did: one group per bound session that
+        // executed, and one work unit per executed request, since
+        // these sessions are unsharded.
+        const std::size_t shed = completions.size() - executed;
+        const BatchSchedulerStats now = scheduler_->stats();
+        EXPECT_EQ(now.submitted - last_.submitted, submits_);
+        EXPECT_EQ(now.rejected() - last_.rejected(), rejects_);
+        EXPECT_EQ(now.answered - last_.answered, completions.size());
+        EXPECT_EQ(now.shedDeadlineExpired - last_.shedDeadlineExpired,
+                  shed);
+        EXPECT_EQ(now.drains - last_.drains, boundExecuted > 0 ? 1u : 0u);
+        EXPECT_EQ(now.groups - last_.groups, boundGroups);
+        EXPECT_EQ(now.workUnits - last_.workUnits, boundExecuted);
+        last_ = now;
+        submits_ = 0;
+        rejects_ = 0;
 
         // Weighted round-robin: no session gets a second pass's slot
         // before every pending session got its first pass of
@@ -234,6 +262,10 @@ class SchedulerProperty : public ::testing::TestWithParam<std::uint64_t>
     std::vector<ModelSession> sessions_;
     std::set<std::uint64_t> admitted_;
     std::set<std::uint64_t> completed_;
+    /** stats() at the last check, and the submits made since. */
+    BatchSchedulerStats last_;
+    std::uint64_t submits_ = 0;
+    std::uint64_t rejects_ = 0;
 };
 
 TEST_P(SchedulerProperty, RandomOperationSequencesKeepInvariants)

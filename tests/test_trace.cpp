@@ -584,7 +584,7 @@ TEST(TraceReplay, AdmissionShedsUnderOverloadAndNothingIsLost)
     config.dims = 16;
     config.maxBatch = 4;  // 40 q/s capacity vs 150 q/s offered
     config.drainPeriodSeconds = 0.1;
-    config.admission.maxQueueDepth = 12;
+    config.maxQueueDepth = 12;
     const ReplayReport report = replayTrace(trace, engine, config);
 
     EXPECT_GT(report.shedQueueFull, 0u);
@@ -620,17 +620,6 @@ TEST(TraceReplay, SharedDocumentsHitTheStoreAcrossSessions)
     EXPECT_GT(report.storeLiveHits, 0u);
     EXPECT_GT(report.storeHitRate, 0.5);
     EXPECT_EQ(report.failedQueries, 0u);
-}
-
-TEST(TraceReplay, AdaptiveDepthAdmissionIsRejectedAsNondeterministic)
-{
-    const Trace trace = trivialTrace();
-    AttentionEngine engine(1);
-    ReplayConfig config;
-    config.dims = 16;
-    config.admission.targetLatencySeconds = 0.1;
-    EXPECT_DEATH(replayTrace(trace, engine, config),
-                 "nondeterministic");
 }
 
 TEST(TraceGenerator, InvalidConfigsAreFatal)

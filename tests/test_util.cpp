@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "util/csv.hpp"
-#include "util/logging.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -183,32 +182,6 @@ TEST(RunningStat, MergeWithEmpty)
     EXPECT_EQ(b.mean(), 1.0);
 }
 
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0);
-    h.add(0.0);
-    h.add(5.5);
-    h.add(9.999);
-    h.add(10.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(5), 1u);
-    EXPECT_EQ(h.bucket(9), 1u);
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_DOUBLE_EQ(h.bucketLow(5), 5.0);
-}
-
-TEST(Histogram, CumulativeFraction)
-{
-    Histogram h(0.0, 4.0, 4);
-    for (double v : {0.5, 1.5, 2.5, 3.5})
-        h.add(v);
-    EXPECT_DOUBLE_EQ(h.cumulativeFraction(0), 0.25);
-    EXPECT_DOUBLE_EQ(h.cumulativeFraction(3), 1.0);
-}
-
 TEST(Percentile, InterpolatesLinearly)
 {
     std::vector<double> v{1.0, 2.0, 3.0, 4.0};
@@ -332,15 +305,6 @@ TEST(Csv, QuotesSpecialCharacters)
     std::getline(in, line);
     EXPECT_EQ(line, "a,\"b,c\",\"d\"\"e\"");
     std::remove(path.c_str());
-}
-
-TEST(Logging, LevelGatesOutput)
-{
-    // Only check the level round-trips; output itself goes to stderr.
-    const LogLevel before = logLevel();
-    setLogLevel(LogLevel::Debug);
-    EXPECT_EQ(logLevel(), LogLevel::Debug);
-    setLogLevel(before);
 }
 
 }  // namespace
