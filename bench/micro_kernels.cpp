@@ -99,7 +99,7 @@ BM_SortedKeyPreprocess(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(SortedKey::build(f.key));
 }
-BENCHMARK(BM_SortedKeyPreprocess)->Arg(320);
+BENCHMARK(BM_SortedKeyPreprocess)->Arg(320)->Arg(4096);
 
 void
 BM_ApproxAttentionEndToEnd(benchmark::State &state)

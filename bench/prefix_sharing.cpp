@@ -15,7 +15,10 @@
  *    directory (mmap + decode, no recomputation), per backend kind.
  *    speedup_warm_vs_cold gates the spill tier's reason to exist;
  *    bit_identical confirms restored answers match the cold bind
- *    exactly.
+ *    exactly. cold_bind_vs_exact_quantized divides each kind's cold
+ *    bind by the ExactQuantized cold bind of the same run and shape,
+ *    so for approx-quantized it is the sorted-key build's price on
+ *    top of quantization, measured against a foil that has none.
  *  - "zipf_reuse": a request stream over D documents with Zipf
  *    popularity driving bind/evict churn through a budget-capped
  *    SessionCache backed by a spilling ShardStore. store_hit_rate is
@@ -185,6 +188,8 @@ struct WarmRebindRow
     double coldBindSeconds = 0.0;
     double warmRebindSeconds = 0.0;
     double speedupWarmVsCold = 0.0;
+    /** Cold bind over the ExactQuantized cold bind (set in main). */
+    double coldBindVsExactQuantized = 0.0;
     /** 1 when every warm answer matched the cold bind exactly. */
     int bitIdentical = 0;
     std::size_t repeats = 0;
@@ -400,6 +405,11 @@ main(int argc, char **argv)
         warmRows.push_back(
             measureWarmRebind(kind, n, d, shardRows, repeats));
     }
+    // The first row is the ExactQuantized foil.
+    for (WarmRebindRow &row : warmRows) {
+        row.coldBindVsExactQuantized =
+            row.coldBindSeconds / warmRows.front().coldBindSeconds;
+    }
 
     // --- Zipf-popular document stream.
     const ZipfRow zipf = measureZipfReuse(
@@ -428,10 +438,12 @@ main(int argc, char **argv)
             "\"shards\": %zu, \"cold_bind_seconds\": %.3e, "
             "\"warm_rebind_seconds\": %.3e, "
             "\"speedup_warm_vs_cold\": %.1f, "
+            "\"cold_bind_vs_exact_quantized\": %.2f, "
             "\"bit_identical\": %d, \"repeats\": %zu}%s\n",
             r.backend.c_str(), r.rows, r.shards, r.coldBindSeconds,
-            r.warmRebindSeconds, r.speedupWarmVsCold, r.bitIdentical,
-            r.repeats, i + 1 < warmRows.size() ? "," : "");
+            r.warmRebindSeconds, r.speedupWarmVsCold,
+            r.coldBindVsExactQuantized, r.bitIdentical, r.repeats,
+            i + 1 < warmRows.size() ? "," : "");
     }
     std::printf("  ],\n  \"zipf_reuse\": [\n");
     std::printf(

@@ -106,13 +106,27 @@ main()
     }
 
     // 3. Sanity: the sharded answer matches an unsharded reference
-    //    backend over the same task to float accuracy.
+    //    backend over the same task within the sharded ExactFloat
+    //    bound: every output component within 256 ULPs or 1e-6
+    //    absolute. A wrong answer fails the run.
     const Vector probe = randomQuery(d);
     const ReferenceAttention unsharded(key, value);
-    const float diff = maxAbsDiff(backend->run(probe).output,
-                                  unsharded.run(probe).output);
+    const Vector got = backend->run(probe).output;
+    const Vector want = unsharded.run(probe).output;
+    bool withinBound = got.size() == want.size();
+    for (std::size_t i = 0; withinBound && i < want.size(); ++i) {
+        const float magnitude = std::fabs(want[i]);
+        const float ulp =
+            std::nextafter(magnitude, INFINITY) - magnitude;
+        withinBound =
+            std::fabs(got[i] - want[i]) <= std::fmax(1e-6f, 256 * ulp);
+    }
     std::printf("max |sharded - unsharded| over one probe: %.3e\n",
-                static_cast<double>(diff));
+                static_cast<double>(maxAbsDiff(got, want)));
+    if (!withinBound) {
+        std::fprintf(stderr, "sharded answer outside the bound\n");
+        return 1;
+    }
 
     // 4. The corpus grows mid-stream: appended rows fill the last
     //    shard to capacity, then open a new shard.

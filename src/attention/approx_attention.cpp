@@ -101,6 +101,8 @@ ApproxAttention::restore(const ApproxConfig &config, WireReader &in)
     if (hasSorted != 0) {
         const std::size_t rows = key.rows();
         const std::size_t cols = key.cols();
+        // The row ids index per-row search state, so adopt only
+        // columns that equal what build() would produce.
         std::vector<std::vector<SortedKeyEntry>> columns(cols);
         std::vector<float> vals;
         std::vector<std::uint32_t> rowIds;
@@ -115,8 +117,10 @@ ApproxAttention::restore(const ApproxConfig &config, WireReader &in)
             for (std::size_t i = 0; i < rows; ++i)
                 column[i] = {vals[i], rowIds[i]};
         }
-        backend->sorted_ =
-            SortedKey::fromColumns(rows, cols, std::move(columns));
+        auto sorted = SortedKey::fromColumns(key, std::move(columns));
+        if (!sorted)
+            return nullptr;
+        backend->sorted_ = std::move(*sorted);
     }
     backend->key_ = std::move(key);
     backend->value_ = std::move(value);

@@ -57,8 +57,8 @@ class ApproxAttention final : public AttentionBackend
     /**
      * Incremental task extension: the new rows are merged into the
      * column-sorted key instead of rebuilding it (see SortedKey::
-     * append), so the per-update cost is O(d n) rather than the
-     * O(d n log n) full re-sort.
+     * append): one O(d (n + k)) merge rather than build()'s three
+     * radix passes per column.
      */
     void append(const Matrix &keyRows,
                 const Matrix &valueRows) override;
@@ -91,8 +91,8 @@ class ApproxAttention final : public AttentionBackend
 
     /**
      * Matrices plus the sorted-key columns verbatim — restore()
-     * adopts the orders instead of re-running build()'s O(d n log n)
-     * sort, which is the approx kinds' share of the warm-rebind win.
+     * checks and adopts the orders instead of re-running build()'s
+     * radix sort.
      */
     void serializeState(WireWriter &out) const override;
     std::size_t compact() override;

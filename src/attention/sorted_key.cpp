@@ -1,11 +1,46 @@
 #include "attention/sorted_key.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <array>
+#include <bit>
+#include <utility>
 
 #include "util/logging.hpp"
 
 namespace a3 {
+
+namespace {
+
+/**
+ * The one definition of the sorted-key order: the float's bits mapped
+ * so that unsigned comparison follows value order. -0 folds onto +0 by
+ * an explicit bit test (a `+ 0.0f` may be dropped under fast-math), so
+ * the two zeros tie and keep row order. A NaN lands past the infinity
+ * of its sign.
+ */
+std::uint32_t
+orderKey(float value)
+{
+    std::uint32_t bits = std::bit_cast<std::uint32_t>(value);
+    if (bits == 0x80000000u)
+        bits = 0;
+    return (bits & 0x80000000u) != 0 ? ~bits : bits | 0x80000000u;
+}
+
+/** An entry's place in the sorted-key order: (orderKey, rowId), which
+ *  is unique because row ids are. */
+std::uint64_t
+entryOrder(const SortedKeyEntry &e)
+{
+    return std::uint64_t{orderKey(e.val)} << 32 | e.rowId;
+}
+
+constexpr unsigned kDigitBits = 11;
+constexpr std::uint32_t kDigitMask = (1u << kDigitBits) - 1;
+/** 11 + 11 + 10 bits cover the 32-bit order key. */
+constexpr unsigned kPasses = 3;
+
+}  // namespace
 
 SortedKey
 SortedKey::build(const Matrix &key)
@@ -14,25 +49,42 @@ SortedKey::build(const Matrix &key)
     sk.rows_ = key.rows();
     sk.cols_ = key.cols();
     sk.columns_.reserve(sk.cols_);
-    // Sort one reusable 4-byte index permutation per column instead of
-    // stable_sort over (val, rowId) pairs twice the size; the rowId
-    // tie-break reproduces the stable sort's original-row order for
-    // equal values, which pins down the greedy search's pop order.
-    std::vector<std::uint32_t> perm(sk.rows_);
+    // Stable LSD radix sort of (val, rowId) entries on the order key.
+    // Entries start in row order, so ties keep their row order.
+    std::vector<SortedKeyEntry> scratch(sk.rows_);
+    std::array<std::array<std::uint32_t, kDigitMask + 1>, kPasses>
+        offsets;
     for (std::size_t c = 0; c < sk.cols_; ++c) {
-        std::iota(perm.begin(), perm.end(), 0u);
-        std::sort(perm.begin(), perm.end(),
-                  [&key, c](std::uint32_t a, std::uint32_t b) {
-                      const float va = key(a, c);
-                      const float vb = key(b, c);
-                      if (va != vb)
-                          return va < vb;
-                      return a < b;
-                  });
-        auto &column = sk.columns_.emplace_back();
-        column.reserve(sk.rows_);
-        for (std::uint32_t r : perm)
-            column.push_back({key(r, c), r});
+        for (auto &counts : offsets)
+            counts.fill(0);
+        for (std::size_t r = 0; r < sk.rows_; ++r) {
+            const float v = key(r, c);
+            scratch[r] = {v, static_cast<std::uint32_t>(r)};
+            const std::uint32_t k = orderKey(v);
+            for (unsigned p = 0; p < kPasses; ++p)
+                ++offsets[p][(k >> (p * kDigitBits)) & kDigitMask];
+        }
+        for (auto &counts : offsets) {
+            std::uint32_t sum = 0;
+            for (auto &count : counts)
+                sum += std::exchange(count, sum);
+        }
+        // An odd pass count ends in the column: scratch -> column ->
+        // scratch -> column.
+        auto &column = sk.columns_.emplace_back(sk.rows_);
+        SortedKeyEntry *src = scratch.data();
+        SortedKeyEntry *dst = column.data();
+        for (unsigned p = 0; p < kPasses; ++p) {
+            auto &next = offsets[p];
+            const unsigned shift = p * kDigitBits;
+            for (std::size_t i = 0; i < sk.rows_; ++i) {
+                const SortedKeyEntry e = src[i];
+                const std::uint32_t digit =
+                    (orderKey(e.val) >> shift) & kDigitMask;
+                dst[next[digit]++] = e;
+            }
+            std::swap(src, dst);
+        }
     }
     return sk;
 }
@@ -49,28 +101,32 @@ SortedKey::append(const Matrix &newRows, std::uint32_t firstRowId)
     const std::size_t k = newRows.rows();
     if (k == 0)
         return;
-    // The (val, rowId) comparator gives a unique total order (row ids
-    // are distinct), so sorting the new tail and merging it with the
-    // already-sorted column reproduces exactly what build() would
-    // produce over the concatenated matrix.
-    const auto less = [](const SortedKeyEntry &a,
-                         const SortedKeyEntry &b) {
-        if (a.val != b.val)
-            return a.val < b.val;
-        return a.rowId < b.rowId;
-    };
+    // build()'s order is the unique entry order, and every new row id
+    // is above every old one. So the sorted tail merges in from the
+    // back, and an old entry moves past a new one only when its order
+    // key is greater; ties keep the old entry first.
+    std::vector<SortedKeyEntry> tail(k);
     for (std::size_t c = 0; c < cols_; ++c) {
-        auto &column = columns_[c];
-        const auto oldSize = static_cast<std::ptrdiff_t>(column.size());
-        column.reserve(column.size() + k);
         for (std::size_t i = 0; i < k; ++i) {
-            column.push_back(
-                {newRows(i, c),
-                 firstRowId + static_cast<std::uint32_t>(i)});
+            tail[i] = {newRows(i, c),
+                       firstRowId + static_cast<std::uint32_t>(i)};
         }
-        std::sort(column.begin() + oldSize, column.end(), less);
-        std::inplace_merge(column.begin(), column.begin() + oldSize,
-                           column.end(), less);
+        std::sort(tail.begin(), tail.end(),
+                  [](const SortedKeyEntry &a, const SortedKeyEntry &b) {
+                      return entryOrder(a) < entryOrder(b);
+                  });
+        auto &column = columns_[c];
+        std::size_t old = column.size();
+        std::size_t write = old + k;
+        column.reserve(write);  // exactly: resize() alone may double
+        column.resize(write);
+        for (std::size_t j = k; j > 0; --j) {
+            const SortedKeyEntry &next = tail[j - 1];
+            const std::uint32_t nextKey = orderKey(next.val);
+            while (old > 0 && orderKey(column[old - 1].val) > nextKey)
+                column[--write] = column[--old];
+            column[--write] = next;
+        }
     }
     rows_ += k;
 }
@@ -97,17 +153,33 @@ SortedKey::columnEntries(std::size_t col) const
     return columns_[col];
 }
 
-SortedKey
-SortedKey::fromColumns(std::size_t rows, std::size_t cols,
+std::optional<SortedKey>
+SortedKey::fromColumns(const Matrix &key,
                        std::vector<std::vector<SortedKeyEntry>> columns)
 {
-    a3Assert(columns.size() == cols,
-             "sorted-key column count mismatch: ", columns.size(),
-             " vs ", cols);
-    for (const auto &column : columns)
-        a3Assert(column.size() == rows,
-                 "sorted-key column length mismatch: ", column.size(),
-                 " vs ", rows);
+    const std::size_t rows = key.rows();
+    const std::size_t cols = key.cols();
+    if (columns.size() != cols)
+        return std::nullopt;
+    // In range, bit-equal to the key, and strictly ascending in the
+    // entry order: the row ids are then a permutation in the unique
+    // order build() gives.
+    for (std::size_t c = 0; c < cols; ++c) {
+        const auto &column = columns[c];
+        if (column.size() != rows)
+            return std::nullopt;
+        std::uint64_t previous = 0;
+        for (std::size_t i = 0; i < rows; ++i) {
+            const SortedKeyEntry &e = column[i];
+            const std::uint64_t order = entryOrder(e);
+            if (e.rowId >= rows ||
+                std::bit_cast<std::uint32_t>(e.val) !=
+                    std::bit_cast<std::uint32_t>(key(e.rowId, c)) ||
+                (i > 0 && order <= previous))
+                return std::nullopt;
+            previous = order;
+        }
+    }
     SortedKey sk;
     sk.rows_ = rows;
     sk.cols_ = cols;

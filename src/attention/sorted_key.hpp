@@ -14,6 +14,7 @@
 #define A3_ATTENTION_SORTED_KEY_HPP
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "tensor/matrix.hpp"
@@ -34,20 +35,24 @@ class SortedKey
     SortedKey() = default;
 
     /**
-     * Sort every column of `key` ascending by value. Ties keep the
-     * original row order (stable), which pins down the pop order of the
-     * greedy search for reproducibility.
+     * Sort every column of `key` ascending in the sorted-key order:
+     * value order with -0 equal to +0, a NaN placed past the infinity
+     * of its sign bit, and ties kept in original row order (which pins
+     * down the pop order of the greedy search). For finite inputs
+     * that is the (val, rowId) order of Figure 8. Cost: a stable LSD
+     * radix sort per column, so d columns x 3 linear passes over n
+     * entries (11-bit digits of a 32-bit order key), no comparisons.
      */
     static SortedKey build(const Matrix &key);
 
     /**
      * Insert k new rows — rows firstRowId .. firstRowId + k - 1 of the
      * grown task — into every column's sorted order. Bit-identical to
-     * rebuilding from the concatenated key matrix (the (val, rowId)
-     * ordering is unique, so merging reproduces the full sort), but
-     * costs one O(n + k log k) merge per column instead of the
-     * O((n + k) log(n + k)) sort of build() — the incremental-binding
-     * fast path of the serving layer. `firstRowId` must equal rows().
+     * rebuilding from the concatenated key matrix, NaN included: the
+     * tail is sorted and merged under the same order key, so each
+     * column costs one O(k log k) sort plus one O(n + k) merge
+     * instead of build()'s three passes over all n + k entries.
+     * `firstRowId` must equal rows().
      */
     void append(const Matrix &newRows, std::uint32_t firstRowId);
 
@@ -68,12 +73,14 @@ class SortedKey
 
     /**
      * Adopt pre-sorted columns verbatim — the spill-restore path,
-     * which skips the build() sort entirely. Every column must hold
-     * `rows` entries already in (val, rowId) order; the caller (the
-     * shard-image decoder) validates shape before adopting.
+     * which skips the build() sort. Returns nullopt unless every
+     * column is exactly what build(key) would produce: `key.rows()`
+     * entries, row ids in range, values bit-equal to key(rowId, col),
+     * and strictly ascending in the sorted-key order. The check is
+     * one linear pass per column.
      */
-    static SortedKey
-    fromColumns(std::size_t rows, std::size_t cols,
+    static std::optional<SortedKey>
+    fromColumns(const Matrix &key,
                 std::vector<std::vector<SortedKeyEntry>> columns);
 
     /** Bytes the columns have reserved (> storageBytes() after

@@ -14,20 +14,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attention/backend.hpp"
+#include "attention/serialize.hpp"
+#include "attention/sorted_key.hpp"
 #include "engine/engine.hpp"
 #include "serving/batch_scheduler.hpp"
 #include "serving/session_cache.hpp"
 #include "serving/shard_image.hpp"
 #include "serving/shard_store.hpp"
 #include "serving/sharded_backend.hpp"
+#include "util/logging.hpp"
 #include "util/random.hpp"
 
 namespace a3 {
@@ -100,6 +106,100 @@ configOf(EngineKind kind)
     config.kind = kind;
     return config;
 }
+
+using SortedColumns = std::vector<std::vector<SortedKeyEntry>>;
+
+/**
+ * The ApproxAttention state bytes written by hand — the two matrices,
+ * then each sorted column's values and row ids — so a test can tamper
+ * with the orders and keep every other byte well-formed.
+ */
+std::vector<std::uint8_t>
+approxStateBytes(const Matrix &key, const Matrix &value,
+                 const SortedColumns &columns)
+{
+    WireWriter out;
+    writeMatrix(out, key);
+    writeMatrix(out, value);
+    out.u8(1);
+    for (const auto &column : columns) {
+        std::vector<float> vals;
+        std::vector<std::uint32_t> rowIds;
+        for (const SortedKeyEntry &e : column) {
+            vals.push_back(e.val);
+            rowIds.push_back(e.rowId);
+        }
+        out.floats(vals.data(), vals.size());
+        out.u32s(rowIds.data(), rowIds.size());
+    }
+    return out.take();
+}
+
+/**
+ * Sorted columns that differ from build()'s by one edit each to the
+ * last column: a row id equal to rows, a row id of 0xffffffff, a value
+ * unlike the key, two entries swapped, and one entry repeated.
+ */
+std::vector<SortedColumns>
+tamperedColumns(const SortedColumns &built)
+{
+    const auto rows = static_cast<std::uint32_t>(built[0].size());
+    std::vector<SortedColumns> cases(5, built);
+    cases[0].back().back().rowId = rows;
+    cases[1].back()[3].rowId = 0xffffffffu;
+    cases[2].back().front().val =
+        -std::numeric_limits<float>::infinity();
+    std::swap(cases[3].back()[4], cases[3].back()[5]);
+    cases[4].back()[2] = cases[4].back()[1];
+    return cases;
+}
+
+/** Build()'s own columns of `key`. */
+SortedColumns
+builtColumns(const Matrix &key)
+{
+    const SortedKey sorted = SortedKey::build(key);
+    SortedColumns columns;
+    for (std::size_t c = 0; c < key.cols(); ++c)
+        columns.push_back(sorted.columnEntries(c));
+    return columns;
+}
+
+/** A backend whose serialized state is fixed bytes, so encode can wrap
+ *  a crafted payload in a header and checksum that verify. */
+class CraftedState : public AttentionBackend
+{
+  public:
+    CraftedState(std::vector<std::uint8_t> payload, std::size_t rows,
+                 std::size_t dims)
+        : payload_(std::move(payload)), rows_(rows), dims_(dims)
+    {
+    }
+
+    SoftmaxTerms runInto(const Vector &, AttentionResult &,
+                         ResultDetail) const override
+    {
+        panic("a crafted state only serializes");
+    }
+    void append(const Matrix &, const Matrix &) override
+    {
+        panic("a crafted state only serializes");
+    }
+    std::string name() const override { return "crafted"; }
+    std::size_t memoryBytes() const override { return payload_.size(); }
+    std::size_t rows() const override { return rows_; }
+    std::size_t dims() const override { return dims_; }
+    void serializeState(WireWriter &out) const override
+    {
+        for (const std::uint8_t byte : payload_)
+            out.u8(byte);
+    }
+
+  private:
+    std::vector<std::uint8_t> payload_;
+    std::size_t rows_;
+    std::size_t dims_;
+};
 
 // -- Content addressing ---------------------------------------------
 
@@ -419,6 +519,115 @@ TEST(SpillTier, CorruptImageRejectedAndColdBound)
     handle->backend().runInto(query, got);
     cold->runInto(query, want);
     expectBitIdentical(got, want);
+}
+
+TEST(SpillTier, RestoreRejectsSortedColumnsUnlikeBuild)
+{
+    Rng rng(39);
+    const Matrix key = randomMatrix(rng, 40, 6);
+    const Matrix value = randomMatrix(rng, 40, 6);
+    const SortedColumns built = builtColumns(key);
+    const std::vector<std::uint8_t> pristine =
+        approxStateBytes(key, value, built);
+
+    for (const EngineKind kind :
+         {EngineKind::ApproxFloat, EngineKind::ApproxQuantized}) {
+        SCOPED_TRACE(engineKindName(kind));
+        const EngineConfig config = configOf(kind);
+        // The approx state leads the payload; ApproxQuantized follows
+        // it with the datapath state, kept here as serialized.
+        WireWriter real;
+        makeBackend(config, key, value)->serializeState(real);
+        const std::vector<std::uint8_t> &bytes = real.bytes();
+        ASSERT_GE(bytes.size(), pristine.size());
+        ASSERT_TRUE(std::equal(pristine.begin(), pristine.end(),
+                               bytes.begin()));
+        const std::vector<std::uint8_t> tail(
+            bytes.begin() + pristine.size(), bytes.end());
+        const auto payloadWith = [&](const SortedColumns &columns) {
+            std::vector<std::uint8_t> payload =
+                approxStateBytes(key, value, columns);
+            payload.insert(payload.end(), tail.begin(), tail.end());
+            return payload;
+        };
+
+        const std::vector<std::uint8_t> good = payloadWith(built);
+        WireReader goodIn(good.data(), good.size());
+        EXPECT_NE(deserializeBackend(config, goodIn), nullptr);
+        const std::vector<SortedColumns> cases = tamperedColumns(built);
+        for (std::size_t i = 0; i < cases.size(); ++i) {
+            const std::vector<std::uint8_t> bad = payloadWith(cases[i]);
+            WireReader in(bad.data(), bad.size());
+            EXPECT_EQ(deserializeBackend(config, in), nullptr)
+                << "case " << i;
+        }
+    }
+}
+
+TEST(SpillTier, CraftedSortedColumnsRejectedAndColdBound)
+{
+    Rng rng(40);
+    const std::size_t n = 48;
+    const std::size_t d = 8;
+    const Matrix key = randomMatrix(rng, n, d);
+    const Matrix value = randomMatrix(rng, n, d);
+    const Vector query = randomQuery(rng, d);
+    const EngineConfig config = configOf(EngineKind::ApproxFloat);
+    const SortedColumns built = builtColumns(key);
+
+    // The crafting itself decodes when it carries build()'s columns.
+    const std::vector<std::uint8_t> good = encodeShardImage(
+        config, ShardKey{},
+        CraftedState(approxStateBytes(key, value, built), n, d));
+    EXPECT_NE(
+        decodeShardImage(config, ShardKey{}, good.data(), good.size()),
+        nullptr);
+
+    const std::vector<SortedColumns> cases = tamperedColumns(built);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        SCOPED_TRACE(i);
+        TempSpillDir dir;
+        ShardKey contentKey;
+        {
+            ShardStore store({dir.path(), 0});
+            auto handle = store.acquire(config, key, value, 0, n);
+            ASSERT_NE(handle, nullptr);
+            contentKey = handle->contentKey();
+        }
+
+        // Overwrite the spilled image with one whose header and
+        // checksum verify but whose sorted columns build() would
+        // never produce.
+        const std::vector<std::uint8_t> image = encodeShardImage(
+            config, contentKey,
+            CraftedState(approxStateBytes(key, value, cases[i]), n, d));
+        EXPECT_EQ(decodeShardImage(config, contentKey, image.data(),
+                                   image.size()),
+                  nullptr);
+        const std::string imagePath =
+            dir.path() + "/" + contentKey.hex() + ".shard";
+        std::FILE *f = std::fopen(imagePath.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fwrite(image.data(), 1, image.size(), f),
+                  image.size());
+        std::fclose(f);
+
+        ShardStore restarted({dir.path(), 0});
+        ASSERT_EQ(restarted.spillCount(), 1u);
+        ShardSource source = ShardSource::SpillRestored;
+        auto handle =
+            restarted.acquire(config, key, value, 0, n, &source);
+        ASSERT_NE(handle, nullptr);
+        EXPECT_EQ(source, ShardSource::ColdBound);
+        EXPECT_EQ(restarted.stats().spillRejects, 1u);
+        EXPECT_EQ(restarted.stats().coldBinds, 1u);
+
+        auto cold = makeBackend(config, key, value);
+        AttentionResult got, want;
+        handle->backend().runInto(query, got);
+        cold->runInto(query, want);
+        expectBitIdentical(got, want);
+    }
 }
 
 TEST(SpillTier, VersionMismatchRejected)

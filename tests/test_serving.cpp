@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -143,6 +146,46 @@ TEST(SortedKeyAppend, DuplicateValuesKeepRowIdOrder)
     sk.append(tail, 2);
     for (std::uint32_t p = 0; p < 4; ++p)
         EXPECT_EQ(sk.at(p, 0).rowId, p);
+}
+
+TEST(SortedKeyAppend, MatchesFullBuildWithNaNAndSignedZeros)
+{
+    // build() and append() share one order, so keys holding NaN of
+    // either sign (and both zeros) still merge into build()'s bytes.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float specials[] = {nan, std::copysign(nan, -1.0f), 0.0f,
+                              -0.0f};
+    Rng rng(9101);
+    const auto draw = [&](std::size_t n, std::size_t d) {
+        Matrix m = randomMatrix(rng, n, d);
+        for (auto &v : m.data()) {
+            if (rng.bernoulli(0.3))
+                v = specials[rng.uniformInt(0, 3)];
+        }
+        return m;
+    };
+    for (int trial = 0; trial < 100; ++trial) {
+        const auto base =
+            static_cast<std::size_t>(rng.uniformInt(1, 40));
+        const auto extra =
+            static_cast<std::size_t>(rng.uniformInt(1, 12));
+        const std::size_t d = 3;
+        const Matrix head = draw(base, d);
+        const Matrix tail = draw(extra, d);
+        SortedKey incremental = SortedKey::build(head);
+        incremental.append(tail, static_cast<std::uint32_t>(base));
+        const SortedKey rebuilt =
+            SortedKey::build(concatRows(head, tail));
+        for (std::size_t c = 0; c < d; ++c) {
+            const auto &got = incremental.columnEntries(c);
+            const auto &want = rebuilt.columnEntries(c);
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(SortedKeyEntry)),
+                      0)
+                << "trial " << trial << " col " << c;
+        }
+    }
 }
 
 /**
